@@ -17,9 +17,10 @@
 //   * a region-local stripe row (svc-val): a one-shard batch under
 //     cross-stripe churn — stripe_skips > 0 with zero validation walks, the
 //     partitioned counter absorbing a realistic service batch;
-//   * a wide-batch SIMD row (svc-orec): the passive local-clock engine's
-//     per-read revalidation over a 64-key batch log reaching the 4-entry
-//     gather kernel (simd_batches > 0 where the ISA has it);
+//   * a wide-batch SIMD row (orec-l, KvStore<OrecL>): the passive
+//     local-clock engine's per-read revalidation over a 64-key batch log
+//     reaching the 4-entry gather kernel (simd_batches > 0 where the ISA has
+//     it). SvcOrec runs on the global clock, whose solo batches never walk;
 //   * a snapshot row (svc-snapshot): a read-only batch pinned across mid-batch
 //     churn — snapshot_reads > 0, version_hops > 0, validation_walks == 0,
 //     and snapshot_probe_aborts == 0 (the acceptance columns).
@@ -29,6 +30,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/set_bench.h"
@@ -56,10 +58,21 @@ int ThreadCount() {
   return sweep.back();
 }
 
+// The `clock` label of a family's rows: its clock policy's name, or "none"
+// for the val families, which validate by value and keep no version clock.
+template <typename Family, typename = void>
+struct ClockLabel {
+  static constexpr const char* kName = "none";
+};
+template <typename Family>
+struct ClockLabel<Family, std::void_t<typename Family::Clock>> {
+  static constexpr const char* kName = Family::Clock::kName;
+};
+
 template <typename Family>
 void RunServiceCell(JsonReport& report, TextTable& table, const char* variant,
-                    const char* clock, const char* strategy,
-                    std::size_t batch_size, double theta, int threads) {
+                    const char* strategy, std::size_t batch_size, double theta,
+                    int threads) {
   svc::KvStore<Family> store;
   {
     svc::DriverConfig fill;
@@ -110,7 +123,7 @@ void RunServiceCell(JsonReport& report, TextTable& table, const char* variant,
   const std::uint64_t attempts = commits + aborts;
   BenchRecord r;
   r.variant = variant;
-  r.clock = clock;
+  r.clock = ClockLabel<Family>::kName;
   r.workload = "kv-batch";
   r.strategy = strategy;
   r.threads = threads;
@@ -148,8 +161,7 @@ void RunServiceCell(JsonReport& report, TextTable& table, const char* variant,
 // of size B must be exactly M, with real per-batch cycle latencies.
 template <typename Family>
 void RunAmortizationProbe(JsonReport& report, TextTable& table,
-                          const char* variant, const char* clock,
-                          const char* strategy) {
+                          const char* variant, const char* strategy) {
   constexpr std::size_t kBatch = 32;
   constexpr std::uint64_t kBatches = 64;
   svc::KvStore<Family> store;
@@ -176,7 +188,7 @@ void RunAmortizationProbe(JsonReport& report, TextTable& table,
 
   BenchRecord r;
   r.variant = variant;
-  r.clock = clock;
+  r.clock = ClockLabel<Family>::kName;
   r.workload = "amortization-probe";
   r.strategy = strategy;
   r.threads = 1;
@@ -239,7 +251,7 @@ void RunStripeProbe(JsonReport& report, TextTable& table) {
 
   BenchRecord r;
   r.variant = "svc-val";
-  r.clock = "none";
+  r.clock = ClockLabel<F>::kName;
   r.workload = "region-local-probe";
   r.strategy = "partitioned";
   r.threads = 1;
@@ -264,10 +276,11 @@ void RunStripeProbe(JsonReport& report, TextTable& table) {
                 std::to_string(r.validation_walks)});
 }
 
-// Wide-batch SIMD probe (svc-orec): the passive engine revalidates the growing
-// read log on every read, so a 64-key batch drives the gathered batch kernel.
+// Wide-batch SIMD probe (orec-l): the passive local-clock engine revalidates
+// the growing read log on every read, so a 64-key batch drives the gathered
+// batch kernel. Named explicitly: SvcOrec's global clock never walks here.
 void RunSimdProbe(JsonReport& report, TextTable& table) {
-  using F = SvcOrec;
+  using F = OrecL;
   using Probe = F::Full::Probe;
   svc::KvStore<F> store;
   constexpr std::size_t kWide = 64;
@@ -284,8 +297,8 @@ void RunSimdProbe(JsonReport& report, TextTable& table) {
   const Probe::Counters after = Probe::Get();
 
   BenchRecord r;
-  r.variant = "svc-orec";
-  r.clock = "local";
+  r.variant = "orec-l";
+  r.clock = ClockLabel<F>::kName;
   r.workload = "wide-batch-probe";
   r.strategy = "baseline";
   r.threads = 1;
@@ -300,7 +313,7 @@ void RunSimdProbe(JsonReport& report, TextTable& table) {
   r.batches = 1;
   r.descriptors_per_op = 1.0 / static_cast<double>(kWide);
   report.Add(r);
-  table.AddRow({"svc-orec/wide-batch", std::to_string(kWide), r.simd,
+  table.AddRow({"orec-l/wide-batch", std::to_string(kWide), r.simd,
                 std::to_string(r.simd_batches), std::to_string(r.scalar_checks)});
 }
 
@@ -332,7 +345,7 @@ void RunSnapshotProbe(JsonReport& report, TextTable& table) {
 
   BenchRecord r;
   r.variant = "svc-snapshot";
-  r.clock = "none";
+  r.clock = ClockLabel<F>::kName;
   r.workload = "snapshot-probe";
   r.strategy = "snapshot";
   r.threads = 1;
@@ -369,14 +382,14 @@ bool Run(const std::string& json_path) {
                    "desc/op", "p50cyc", "p99cyc", "p999cyc"});
   for (const std::size_t batch : kBatchSizes) {
     for (const double theta : kThetas) {
-      RunServiceCell<SvcOrec>(report, timed, "svc-orec", "local", "baseline",
-                              batch, theta, threads);
-      RunServiceCell<SvcOrecPart>(report, timed, "svc-orec-part", "local",
+      RunServiceCell<SvcOrec>(report, timed, "svc-orec", "baseline", batch,
+                              theta, threads);
+      RunServiceCell<SvcOrecPart>(report, timed, "svc-orec-part",
                                   "partitioned", batch, theta, threads);
-      RunServiceCell<SvcVal>(report, timed, "svc-val", "none", "partitioned",
-                             batch, theta, threads);
-      RunServiceCell<SvcSnapshot>(report, timed, "svc-snapshot", "none",
-                                  "snapshot", batch, theta, threads);
+      RunServiceCell<SvcVal>(report, timed, "svc-val", "partitioned", batch,
+                             theta, threads);
+      RunServiceCell<SvcSnapshot>(report, timed, "svc-snapshot", "snapshot",
+                                  batch, theta, threads);
     }
   }
   std::fputs(timed.ToString().c_str(), stdout);
@@ -384,12 +397,11 @@ bool Run(const std::string& json_path) {
   std::printf("\ndeterministic probe rows — single-threaded, thread-local deltas\n");
   TextTable amort({"family/strategy", "batch", "batches", "attempts", "desc/op",
                    "p50cyc", "p99cyc"});
-  RunAmortizationProbe<SvcOrec>(report, amort, "svc-orec", "local", "baseline");
-  RunAmortizationProbe<SvcOrecPart>(report, amort, "svc-orec-part", "local",
+  RunAmortizationProbe<SvcOrec>(report, amort, "svc-orec", "baseline");
+  RunAmortizationProbe<SvcOrecPart>(report, amort, "svc-orec-part",
                                     "partitioned");
-  RunAmortizationProbe<SvcVal>(report, amort, "svc-val", "none", "partitioned");
-  RunAmortizationProbe<SvcSnapshot>(report, amort, "svc-snapshot", "none",
-                                    "snapshot");
+  RunAmortizationProbe<SvcVal>(report, amort, "svc-val", "partitioned");
+  RunAmortizationProbe<SvcSnapshot>(report, amort, "svc-snapshot", "snapshot");
   std::fputs(amort.ToString().c_str(), stdout);
 
   TextTable stripes({"probe", "batch", "stripe-skips", "stripe-bumps",

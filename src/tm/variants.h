@@ -202,15 +202,18 @@ using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kSnapshot>;
 
 // Service-facing aliases (src/svc): the four engine configurations the KV
 // service scenario instantiates over, named by the role they play there rather
-// than by layout internals. SvcOrec is the orec baseline (local clock, passive
-// revalidation — every batch read walks, so wide BatchGets exercise the SIMD
-// batch kernel); SvcOrecPart adds the partitioned counter on the
-// hash-scattered table (overhead row — stripes are placement-blind there);
-// SvcVal is the partitioned-counter val engine where KvStore's stripe-homed
-// shard arenas make region-local batches genuinely stripe-resident; and
-// SvcSnapshot routes read-only batches through pinned MVCC snapshots
-// (never validates, never aborts).
-using SvcOrec = OrecL;
+// than by layout internals. SvcOrec is the orec baseline on the GV4 global
+// clock: a batch walks its read log only when a read sees an orec newer than
+// the attempt's snapshot (timebase extension, §2.1), so validation is linear
+// in the batch's reads. OrecL's per-read revalidation costs O(reads²) per
+// batch (§4.1); it stays measured on KvStore<OrecL> by the wide-batch SIMD
+// probes and in bench/abl_adaptive_val. SvcOrecPart is the local-clock orec
+// engine with the partitioned counter on the hash-scattered table (overhead
+// row — stripes are placement-blind there); SvcVal is the partitioned-counter
+// val engine where KvStore's stripe-homed shard arenas make region-local
+// batches genuinely stripe-resident; and SvcSnapshot routes read-only batches
+// through pinned MVCC snapshots (never validates, never aborts).
+using SvcOrec = OrecG;
 using SvcOrecPart = OrecLPart;
 using SvcVal = ValPart;
 using SvcSnapshot = ValSnap;

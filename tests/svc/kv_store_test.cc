@@ -1,9 +1,10 @@
 // Service-level battery for the sharded KV store (src/svc/kv_store.h):
 // batched-transaction correctness and conservation under concurrency across
-// all four service engine families, plus the deterministic probe rows the
-// ISSUE pins — one descriptor per batch (amortization), stripe_skips on
-// region-local batches (partitioned counter), and simd_batches on wide batch
-// validation (read-log batch kernel).
+// all four service engine families, plus the deterministic probe rows — one
+// descriptor per batch (amortization), stripe_skips on region-local batches
+// (partitioned counter), simd_batches on wide batch validation (read-log batch
+// kernel), and linear-time validation of wide batches on the service orec
+// engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -278,12 +279,13 @@ TEST(KvStoreStripes, RegionLocalBatchSkipsViaStripeCounters) {
       << "cross-stripe churn must not force a read-set walk";
 }
 
-// Wide batch validation on the orec baseline: OrecL's passive local-clock
+// Wide batch validation on the local-clock orec engine: OrecL's passive
 // protocol revalidates the whole read log as it grows, so a wide BatchGet
 // alone drives the gathered batch kernel (simd_batches) — or the scalar body
-// when the ISA lacks it.
+// when the ISA lacks it. SvcOrec runs on the global clock and never walks in
+// a solo batch, so this probe names OrecL explicitly.
 TEST(KvStoreSimd, WideBatchValidationUsesBatchKernel) {
-  using F = SvcOrec;
+  using F = OrecL;
   using Probe = F::Full::Probe;
   KvStore<F> store;
   constexpr std::size_t kWide = 64;
@@ -308,6 +310,71 @@ TEST(KvStoreSimd, WideBatchValidationUsesBatchKernel) {
   } else {
     EXPECT_GT(Probe::Get().scalar_checks, 0u);
   }
+}
+
+// Validation cost of one 64-key BatchGet whose hook commits a single write,
+// midway through the batch, to the value of the key the batch reads last.
+struct WideBatchCost {
+  std::uint64_t entries = 0;  // read-log entries checked by the batch kernel
+  std::uint64_t reads = 0;    // read-log length of the committing attempt
+};
+
+template <typename F>
+WideBatchCost MeasureWideBatchWithLateWrite() {
+  using Probe = typename F::Full::Probe;
+  KvStore<F> store;
+  constexpr std::size_t kWide = 64;
+  constexpr std::uint64_t kLateValue = 1000;
+  std::uint64_t keys[kWide], vals[kWide], out[kWide];
+  bool found[kWide];
+  for (std::size_t i = 0; i < kWide; ++i) {
+    keys[i] = i * 7;
+    vals[i] = i;
+  }
+  store.BatchPut(keys, vals, kWide);
+  typename F::Slot* late = store.DebugValueSlotOf(keys[kWide - 1]);
+  EXPECT_NE(late, nullptr);
+
+  SetSimdEnabled(SimdAvailable());
+  const typename Probe::Counters before = Probe::Get();
+  bool written = false;
+  store.BatchGet(keys, kWide, out, found, [&](std::size_t i) {
+    if (i == kWide / 2 && !written) {
+      written = true;
+      F::SingleWrite(late, EncodeInt(kLateValue));
+    }
+  });
+  const typename Probe::Counters after = Probe::Get();
+  for (std::size_t i = 0; i + 1 < kWide; ++i) {
+    EXPECT_TRUE(found[i]);
+    EXPECT_EQ(out[i], i);
+  }
+  EXPECT_TRUE(found[kWide - 1]);
+  EXPECT_EQ(out[kWide - 1], kLateValue) << "the late read must see the mid-batch write";
+
+  WideBatchCost cost;
+  cost.entries = (after.simd_batches - before.simd_batches) * kSimdBatchWidth +
+                 (after.scalar_checks - before.scalar_checks);
+  cost.reads = DescOf<typename F::DomainTag>().read_log.Size();
+  return cost;
+}
+
+// SvcOrec validates a batch in time linear in its reads: the mid-batch write
+// makes exactly one later read see an orec newer than the snapshot, and the
+// one timebase extension it forces walks the log once. The same batch on the
+// local-clock engine revalidates the log prefix after every read, at least
+// n(n-1)/2 entries for n reads — so pointing SvcOrec back at OrecL fails here.
+TEST(KvStoreSimd, SvcOrecWideBatchValidatesInLinearTime) {
+  const WideBatchCost svc = MeasureWideBatchWithLateWrite<SvcOrec>();
+  ASSERT_GT(svc.reads, 64u);
+  EXPECT_GT(svc.entries, 0u) << "the late read must force a timebase extension";
+  EXPECT_LE(svc.entries, 2 * svc.reads)
+      << "SvcOrec batch validation must stay linear in its " << svc.reads << " reads";
+
+  const WideBatchCost local = MeasureWideBatchWithLateWrite<OrecL>();
+  ASSERT_GT(local.reads, 64u);
+  EXPECT_GE(local.entries, local.reads * (local.reads - 1) / 2)
+      << "per-read revalidation must walk the growing log prefix";
 }
 
 // The request driver end-to-end: deterministic replay (same seed, same store
