@@ -23,12 +23,13 @@
 // Reclamation: a node can no longer be SELECTED by any snapshot reader once
 // stamp <= done_stamp (EpochManager::SnapshotDoneStamp — the minimum pinned
 // snapshot, bounded by a pre-scan clock sample); such nodes are recycled
-// immediately into the type-stable per-thread pool, and chain-bound overflow
+// at once into the per-thread pool, and chain-bound overflow
 // drops (stamp > done_stamp) park on a deferred list until the done stamp
 // catches up. Selection-dead is not touch-dead — a reader that loaded a chain
-// pointer just before the unlink may still dereference the node's stamp once —
-// so memory only returns to the allocator through the epoch manager's Retire,
-// and snapshot transactions hold an epoch Guard for their pinned duration.
+// pointer just before the unlink may still dereference the node — so a
+// recycled node is reused only two epochs after its unlink, and memory only
+// returns to the allocator through the epoch manager's Retire; snapshot
+// transactions hold an epoch Guard for their pinned duration.
 // docs/VALIDATION.md §10 carries the full argument.
 #ifndef SPECTM_TM_MVCC_H_
 #define SPECTM_TM_MVCC_H_
@@ -37,6 +38,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -89,18 +91,22 @@ inline Spill& GlobalSpill() {
 // published); anything else goes through Defer() and waits for the done
 // stamp. Selection-dead is weaker than touch-dead: a snapshot reader that
 // loaded a chain pointer just before the unlink may still dereference the
-// node's stamp word once, so recycled nodes stay type-stable in the pool and
-// every path that returns memory to the allocator goes through the epoch
-// manager's Retire (snapshot transactions hold an epoch Guard while pinned,
-// so a free can never land under a reader mid-traversal).
+// node, and if the node had meanwhile been reused — as another slot's head,
+// say — it would read that slot's stamp, floor and word. The free list is
+// therefore epoch-gated: a recycled node waits in FIFO order until the
+// global epoch has advanced twice past its unlink, by which time every
+// snapshot transaction that could hold its pointer (each holds an epoch
+// Guard while pinned) has finished. Every path that returns memory to the
+// allocator goes through the epoch manager's Retire for the same reason.
 class NodePool {
  public:
   static constexpr std::size_t kMaxFree = 256;
 
   VersionNode* Acquire() {
-    if (!free_.empty()) {
-      VersionNode* n = free_.back();
-      free_.pop_back();
+    if (!free_.empty() &&
+        free_.front().epoch + 2 <= GlobalEpochManager().GlobalEpoch()) {
+      VersionNode* n = free_.front().node;
+      free_.pop_front();
       return n;
     }
     return new VersionNode;
@@ -110,7 +116,11 @@ class NodePool {
     n->stamp.store(kUnstamped, std::memory_order_relaxed);
     n->next.store(nullptr, std::memory_order_relaxed);
     if (free_.size() < kMaxFree) {
-      free_.push_back(n);
+      // The epoch must be read after the unlink is visible (standard EBR):
+      // a stale, smaller epoch would let the node's reuse overtake a reader
+      // that entered after that epoch and still holds the pointer.
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      free_.push_back(FreeNode{n, GlobalEpochManager().GlobalEpoch()});
     } else {
       EpochManager& mgr = GlobalEpochManager();
       EpochManager::Guard g(mgr);
@@ -166,14 +176,19 @@ class NodePool {
     }
     internal::Spill& spill = internal::GlobalSpill();
     std::lock_guard<std::mutex> lock(spill.mu);
-    for (VersionNode* n : free_) {
-      spill.nodes.push_back(DeferredNode{n, 0});
+    for (const FreeNode& f : free_) {
+      spill.nodes.push_back(DeferredNode{f.node, 0});
     }
     spill.nodes.insert(spill.nodes.end(), deferred_.begin(), deferred_.end());
   }
 
  private:
-  std::vector<VersionNode*> free_;
+  struct FreeNode {
+    VersionNode* node;
+    std::uint64_t epoch;  // global epoch read after the node's unlink
+  };
+
+  std::deque<FreeNode> free_;  // oldest first: reuse order is epoch order
   std::vector<DeferredNode> deferred_;
 };
 

@@ -317,6 +317,31 @@ TEST(NodePoolReclamation, AHeldGuardBlocksRetiredNodeFrees) {
   EXPECT_GE(mgr.FreedCount() - freed_before, 32u);
 }
 
+// Reuse obeys the same contract as freeing: a recycled node is handed out
+// again only after the global epoch has advanced twice past its unlink. A
+// reader that loaded the node as a slot's head just before the unlink would
+// otherwise read another slot's stamp, floor and word through it.
+TEST(NodePoolReclamation, RecycledNodeIsReusedOnlyTwoEpochsLater) {
+  EpochManager& mgr = GlobalEpochManager();
+  mgr.ReclaimAllForTesting();
+  mvcc::NodePool pool;
+  auto* recycled = new mvcc::VersionNode;
+  pool.Recycle(recycled);
+  mvcc::VersionNode* immediate = pool.Acquire();
+  EXPECT_NE(immediate, recycled) << "a node was reused in its unlink epoch";
+  {
+    EpochManager::Guard reader(mgr);  // stands in for a pinned snapshot tx
+    mgr.ReclaimAllForTesting();       // at most one advance past our guard
+    mvcc::VersionNode* guarded = pool.Acquire();
+    EXPECT_NE(guarded, recycled) << "a node was reused under a live guard";
+    delete guarded;
+  }
+  mgr.ReclaimAllForTesting();
+  EXPECT_EQ(pool.Acquire(), recycled);
+  delete immediate;
+  delete recycled;
+}
+
 // --- Concurrency battery (run under TSan in CI) -------------------------------------
 
 // Writers move value between two slots keeping x + y constant; snapshot
