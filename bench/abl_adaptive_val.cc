@@ -1,5 +1,5 @@
 // Adaptive validation engine ablation (valstrategy.h): fixed strategies
-// (incremental / counter-skip / bloom) vs the EWMA-adaptive engine, on the two
+// (incremental / counter-skip) vs the EWMA-adaptive engine, on the two
 // layouts whose full transactions pay per-read O(read-set) revalidation — the
 // local-clock orec family (§4.1's "-l" cost) and the counter-validated val layout
 // (Figure 5's dominant cost).
@@ -9,14 +9,14 @@
 // validation strategy to matter):
 //   read-heavy   90% lookups — counter-skip country; also the "no regression vs
 //                always-incremental" acceptance sweep
-//   write-heavy  10% lookups — constant counter movement; bloom country
+//   write-heavy  10% lookups — constant counter movement
 //   phase-shift  alternating 25 ms RO bursts (95% lookups) and RW bursts (5%) —
 //                the workload the EWMA switch exists for
 //
 // Besides the multi-threaded throughput cells, each (family, strategy) row runs
 // a deterministic single-threaded probe pass (see MeasureProbes) whose ValProbe
-// deltas are emitted as evidence columns: counter_skips / bloom_skips /
-// validation_walks prove the row's mechanism actually fires, and the adaptive
+// deltas are emitted as evidence columns: counter_skips / validation_walks
+// prove the row's mechanism actually fires, and the adaptive
 // rows additionally prove the EWMA switch transitions (strategy_switches > 0).
 //
 // Output: text tables plus BENCH_adaptive_val.json (override with --json <path>
@@ -82,24 +82,8 @@ bench::CellResult MeasurePhaseCell(const MakeSet& make_set, const WorkloadConfig
 
 struct ProbeDeltas {
   std::uint64_t counter_skips = 0;
-  std::uint64_t bloom_skips = 0;
   std::uint64_t validation_walks = 0;
   std::uint64_t strategy_switches = 0;
-};
-
-// Bloom signature of a family slot: the metadata word the engines hash — the
-// (shared-table) orec for orec layouts, the value word itself for the val layout.
-template <typename Family, typename = void>
-struct SlotBloom {
-  static Bloom128 Of(typename Family::Slot* s) {
-    return AddrBloom128(&s->word);
-  }
-};
-template <typename Family>
-struct SlotBloom<Family, std::void_t<typename Family::Layout>> {
-  static Bloom128 Of(typename Family::Slot* s) {
-    return AddrBloom128(&Family::Layout::OrecOf(*s));
-  }
 };
 
 // Deterministic probe pass (ValProbe counters are thread-local, so the timed
@@ -107,32 +91,21 @@ struct SlotBloom<Family, std::void_t<typename Family::Layout>> {
 // driven interleaving makes probabilistic evidence flaky). Each step exercises
 // one mechanism the columns claim, exactly like the unit tests do:
 //   1. a quiet multi-read transaction  -> counter_skips (stable-counter skip)
-//   2. a bloom-disjoint single-op write between two reads -> bloom_skips under
-//      the bloom strategy (other strategies walk: validation_walks)
+//   2. a single-op write to another slot between two reads -> the counter
+//      moved, so every strategy walks (validation_walks)
 //   3. (adaptive rows) an abort burst then a quiet run -> the EWMA crosses its
-//      bands and strategy_switches records the transitions
+//      band and strategy_switches records the transitions
 template <typename Family>
 ProbeDeltas MeasureProbes(bool adaptive_transitions) {
   using Probe = typename Family::Full::Probe;
   using FullTx = typename Family::FullTx;
-  std::vector<typename Family::Slot> pool(66);
+  std::vector<typename Family::Slot> pool(3);
   for (std::size_t i = 0; i < pool.size(); ++i) {
     Family::RawWrite(&pool[i], EncodeInt(i + 1));
   }
-  typename Family::Slot* a = &pool[64];
-  typename Family::Slot* b = &pool[65];
-  // A write target whose bloom misses {a, b}, so the bloom pre-filter can prove
-  // disjointness (64 candidates make a miss essentially impossible; if every one
-  // collides the step degrades to a walk and the column honestly reads 0).
-  Bloom128 read_bloom = SlotBloom<Family>::Of(a);
-  read_bloom |= SlotBloom<Family>::Of(b);
-  typename Family::Slot* disjoint = &pool[0];
-  for (std::size_t i = 0; i < 64; ++i) {
-    if (!SlotBloom<Family>::Of(&pool[i]).Intersects(read_bloom)) {
-      disjoint = &pool[i];
-      break;
-    }
-  }
+  typename Family::Slot* a = &pool[0];
+  typename Family::Slot* b = &pool[1];
+  typename Family::Slot* other = &pool[2];
 
   const typename Probe::Counters start_counters = Probe::Get();
   // (1) stable counter: second read and commit skip the walk.
@@ -144,14 +117,14 @@ ProbeDeltas MeasureProbes(bool adaptive_transitions) {
       tx.Read(b);
     } while (!tx.Commit());
   }
-  // (2) moved-but-disjoint counter: the single-op write bumps the domain counter
-  // between the two reads; the bloom strategy pre-filters it, others walk.
+  // (2) moved counter: the single-op write bumps the domain counter between the
+  // two reads, so the second read walks.
   {
     FullTx tx;
     do {
       tx.Start();
       tx.Read(a);
-      Family::SingleWrite(disjoint, EncodeInt(7));
+      Family::SingleWrite(other, EncodeInt(7));
       tx.Read(b);
     } while (!tx.Commit());
   }
@@ -179,7 +152,6 @@ ProbeDeltas MeasureProbes(bool adaptive_transitions) {
 
   ProbeDeltas d;
   d.counter_skips = end_counters.counter_skips - start_counters.counter_skips;
-  d.bloom_skips = end_counters.bloom_skips - start_counters.bloom_skips;
   d.validation_walks = end_counters.validation_walks - start_counters.validation_walks;
   d.strategy_switches =
       end_counters.strategy_switches - start_counters.strategy_switches;
@@ -218,8 +190,8 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
                const WorkloadSpec& wl, int threads, const std::vector<Row>& rows) {
   std::printf("\n%s — %s (hash table, %zu buckets, %llu keys, %d threads)\n", variant,
               wl.name, kBuckets, static_cast<unsigned long long>(kKeyRange), threads);
-  TextTable table({"strategy", "Mops/s", "abort%", "ctr-skips", "bloom-skips",
-                   "walks", "strat-switches"});
+  TextTable table({"strategy", "Mops/s", "abort%", "ctr-skips", "walks",
+                   "strat-switches"});
   for (const Row& row : rows) {
     BenchRecord r;
     r.variant = variant;
@@ -235,7 +207,6 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
     r.duration_s = row.result.duration_s;
     r.has_probes = row.has_probes;
     r.counter_skips = row.probes.counter_skips;
-    r.bloom_skips = row.probes.bloom_skips;
     r.validation_walks = row.probes.validation_walks;
     r.strategy_switches = row.probes.strategy_switches;
     report.Add(r);
@@ -246,7 +217,6 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
     table.AddRow({row.strategy, TextTable::Num(row.result.ops_per_sec / 1e6, 3),
                   TextTable::Num(row.result.abort_rate * 100.0, 2),
                   probe_cell(row.probes.counter_skips),
-                  probe_cell(row.probes.bloom_skips),
                   probe_cell(row.probes.validation_walks),
                   probe_cell(row.probes.strategy_switches)});
   }
@@ -428,7 +398,6 @@ bool Run(const std::string& json_path) {
     orec_rows.push_back(MeasureFamily<OrecL>("incremental", wl, max_threads));
     orec_rows.push_back(
         MeasureFamily<OrecLCounterSkip>("counter-skip", wl, max_threads));
-    orec_rows.push_back(MeasureFamily<OrecLBloom>("bloom", wl, max_threads));
     orec_rows.push_back(MeasureFamily<OrecLAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "orec-full-l", "local", wl, max_threads, orec_rows);
 
@@ -436,7 +405,6 @@ bool Run(const std::string& json_path) {
     std::vector<Row> val_rows;
     val_rows.push_back(MeasureFamily<ValIncremental>("incremental", wl, max_threads));
     val_rows.push_back(MeasureFamily<ValCounterSkip>("counter-skip", wl, max_threads));
-    val_rows.push_back(MeasureFamily<ValBloom>("bloom", wl, max_threads));
     val_rows.push_back(MeasureFamily<ValAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "val-full", "none", wl, max_threads, val_rows);
   }

@@ -17,19 +17,16 @@
 //     read-after-write lookups (one per transactional read) absorbed by the
 //     descriptor-resident filter without a hash probe.
 //
-// Ring-saturation rows (the ROADMAP item): btree range scans over the
-// bloom-strategy local-clock family, swept scan width, against concurrent
-// writer churn for the throughput cell, plus a deterministic single-threaded
-// saturation probe whose thread-local WriterRing failure deltas become the
-// ring_* columns: ring_intersect_fails rising with scan width (while
-// stale/window fails stay flat) is the bloom-saturation signature the 128-bit
-// striped ring exists to push out; compare against the pre-PR 32-bit ring by
-// the width at which intersect-failures dominate.
+// Partitioned-counter rows: btree range scans over the partitioned val family
+// (ValPart), swept scan width, against concurrent writer churn for the
+// throughput cell, plus a deterministic single-threaded probe whose
+// stripe_skips / cross_stripe_walks deltas show disjoint-stripe writer traffic
+// absorbed by the per-stripe counters however wide the scan.
 //
-// MVCC snapshot rows (PR 9): the same btree scans once more under the val-snap
+// MVCC snapshot rows: the same btree scans once more under the val-snap
 // family, whose scanner is a pinned-snapshot RO transaction reading version
 // chains instead of validating — the walk and abort columns stay zero at every
-// width (including the 256-wide cell that saturates the ring above), while
+// width, while
 // versions_retired/chain_splices evidence writers threading displaced values
 // onto chains and the trims bounding them.
 //
@@ -39,7 +36,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench/set_bench.h"
@@ -141,28 +137,15 @@ void RunChainCell(JsonReport& report, TextTable& table, const char* layout,
                     std::to_string(probes.wset_lookups)});
 }
 
-// The metadata word governing a slot: the orec for orec layouts (hash-scattered
-// shared table), the data word itself for the val layout — which is why the
-// address-region counter stripes inherit structural locality only there.
-template <typename Family>
-std::atomic<Word>* MetadataWordOf(typename Family::Slot& s) {
-  if constexpr (std::is_same_v<typename Family::Slot, ValSlot>) {
-    return &s.word;
-  } else {
-    return &Family::Layout::OrecOf(s);
-  }
-}
-
-// Btree range-scan cell: thread 0 scans [lo, lo+width], the remaining threads
-// churn inserts/removes so the domain counter moves and the ring fills. Ring
-// failure counters are thread-local (like every probe in this tree), so the
-// saturation columns come from the deterministic probe pass below, not the
-// timed cell. Swept over the bloom-only and partitioned families so the
-// committed JSON diffs per-stripe skips directly against intersect-failures.
-template <typename F, typename Summary, typename Probe>
-void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
-                 const char* clock, const char* strategy, int scan_width,
+// Btree range-scan cell over the partitioned val family: thread 0 scans
+// [lo, lo+width], the remaining threads churn inserts/removes so the domain
+// counter moves. Stripe counters are thread-local (like every probe in this
+// tree), so the stripe columns come from the deterministic probe pass below,
+// not the timed cell.
+void RunScanCell(JsonReport& report, TextTable& table, int scan_width,
                  int threads) {
+  using F = ValPart;
+  using Probe = ValProbe<ValDomainTag>;
   SetSimdEnabled(SimdAvailable());
 
   const int runs = BenchRuns(3);
@@ -201,25 +184,20 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
     cell.aborts += after.aborts - before.aborts;
     cell.duration_s += r.duration_s;
   }
-  // Deterministic saturation probe: one transaction of the family's fixed
-  // strategy reads `scan_width` contiguous slots while a single-op writer —
-  // outside the read set, in a counter stripe DISJOINT from the scanned slots'
-  // stripes where one exists (always on the val layout: a contiguous pool
-  // occupies few 4 KiB regions; effectively never at width 256 on the
-  // hash-scattered orec table, which is the point of comparing them) — bumps
-  // the counter every 4th read. Each subsequent read then exercises the
-  // family's skip ladder against an ever-fuller read set: the bloom family
-  // probes the ring (intersect-failures rising with width IS filter
-  // saturation), the partitioned family absorbs the same traffic with its
-  // stripe vector (stripe_skips rising instead). Runs on this thread, so this
-  // thread's probe and fail counters capture it exactly.
-  const WriterRing::FailCounts ring_before = Summary::Fails();
-  const typename Probe::Counters probe_before = Probe::Get();
+  // Deterministic stripe probe: one partitioned transaction reads `scan_width`
+  // contiguous slots while a single-op writer — outside the read set, in a
+  // counter stripe DISJOINT from the scanned slots' stripes (a contiguous pool
+  // occupies few 4 KiB regions) — bumps the counter every 4th read. Each
+  // subsequent read then exercises the skip ladder against an ever-fuller read
+  // set, and the stripe vector absorbs the traffic (stripe_skips rising with
+  // width). Runs on this thread, so this thread's probe counters capture it
+  // exactly.
+  const Probe::Counters probe_before = Probe::Get();
   {
-    std::vector<typename F::Slot> pool(static_cast<std::size_t>(scan_width));
+    std::vector<F::Slot> pool(static_cast<std::size_t>(scan_width));
     // 32 KiB of candidate slots spans every 4 KiB stripe, so a stripe-disjoint
     // churn target exists whenever the scanned pool leaves one free.
-    std::vector<typename F::Slot> churn_pool(4096);
+    std::vector<F::Slot> churn_pool(4096);
     for (auto& s : pool) {
       F::RawWrite(&s, EncodeInt(1));
     }
@@ -228,16 +206,16 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
     }
     unsigned occupied = 0;
     for (auto& s : pool) {
-      occupied |= 1u << CounterStripeOf(MetadataWordOf<F>(s));
+      occupied |= 1u << CounterStripeOf(&s.word);
     }
-    typename F::Slot* churn = &churn_pool.back();
+    F::Slot* churn = &churn_pool.back();
     for (auto& s : churn_pool) {
-      if (((occupied >> CounterStripeOf(MetadataWordOf<F>(s))) & 1u) == 0) {
+      if (((occupied >> CounterStripeOf(&s.word)) & 1u) == 0) {
         churn = &s;
         break;
       }
     }
-    typename F::FullTx tx;
+    F::FullTx tx;
     do {
       tx.Start();
       for (int i = 0; i < scan_width; ++i) {
@@ -248,8 +226,7 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
       }
     } while (!tx.Commit());
   }
-  const WriterRing::FailCounts ring_after = Summary::Fails();
-  const typename Probe::Counters probe_after = Probe::Get();
+  const Probe::Counters probe_after = Probe::Get();
   cell.ops_per_sec = AggregateRuns(samples);
   const std::uint64_t attempts = cell.commits + cell.aborts;
   cell.abort_rate = attempts == 0
@@ -258,10 +235,10 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
                               static_cast<double>(attempts);
 
   BenchRecord r;
-  r.variant = variant;
-  r.clock = clock;
+  r.variant = "btree-val";
+  r.clock = "none";
   r.workload = "range-scan";
-  r.strategy = strategy;
+  r.strategy = "partitioned";
   r.threads = threads;
   r.ops_per_sec = cell.ops_per_sec;
   r.abort_rate = cell.abort_rate;
@@ -272,9 +249,6 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
   r.layout = "hashed";
   r.simd = SimdAvailable() ? "simd" : "scalar";
   r.scan_width = scan_width;
-  r.ring_window_fails = ring_after.window - ring_before.window;
-  r.ring_stale_fails = ring_after.stale - ring_before.stale;
-  r.ring_intersect_fails = ring_after.intersect - ring_before.intersect;
   r.has_stripes = true;
   r.stripe_skips = probe_after.stripe_skips - probe_before.stripe_skips;
   r.stripe_bumps = probe_after.stripe_bumps - probe_before.stripe_bumps;
@@ -282,22 +256,17 @@ void RunScanCell(JsonReport& report, TextTable& table, const char* variant,
       probe_after.cross_stripe_walks - probe_before.cross_stripe_walks;
   report.Add(r);
 
-  table.AddRow({std::string(variant) + "/" + strategy,
-                std::to_string(scan_width),
+  table.AddRow({"btree-val/partitioned", std::to_string(scan_width),
                 TextTable::Num(cell.ops_per_sec / 1e6, 3),
                 TextTable::Num(cell.abort_rate * 100.0, 2),
                 std::to_string(r.stripe_skips),
-                std::to_string(r.cross_stripe_walks),
-                std::to_string(r.ring_intersect_fails),
-                std::to_string(r.ring_stale_fails),
-                std::to_string(r.ring_window_fails)});
+                std::to_string(r.cross_stripe_walks)});
 }
 
 // MVCC snapshot rows: the same btree scan-vs-churn shape as RunScanCell, but
 // under ValSnap the scanner is a pinned-snapshot RO transaction — it reads
 // version chains instead of validating, so its walk and abort columns must
-// stay ZERO at every width, against the bloom rows above where width 256 is
-// exactly where intersect-failures take over. The deterministic probe churns a
+// stay ZERO at every width. The deterministic probe churns a
 // slot in the SAME counter stripe as the scanned pool (the counter families'
 // worst case): snapshot reads never consult the counter, so stripe placement
 // is irrelevant — the zero-walk column is that claim as evidence. Two churn
@@ -427,7 +396,6 @@ void RunSnapshotCell(JsonReport& report, TextTable& table, int scan_width,
   r.scan_width = scan_width;
   r.has_probes = true;
   r.counter_skips = probe_after.counter_skips - probe_before.counter_skips;
-  r.bloom_skips = probe_after.bloom_skips - probe_before.bloom_skips;
   r.validation_walks =
       probe_after.validation_walks - probe_before.validation_walks;
   r.strategy_switches =
@@ -474,22 +442,12 @@ bool Run(const std::string& json_path) {
   std::fputs(chain_table.ToString().c_str(), stdout);
 
   const int scan_threads = max_threads > 1 ? max_threads : 2;
-  std::printf("\nring saturation vs partitioned counters — btree range scans, "
+  std::printf("\npartitioned counters — btree range scans, "
               "%d threads (1 scanner + writers)\n", scan_threads);
   TextTable scan_table({"family/strategy", "scan-width", "Mops/s", "abort%",
-                        "stripe-skips", "x-stripe-walks", "ring-intersect",
-                        "ring-stale", "ring-window"});
+                        "stripe-skips", "x-stripe-walks"});
   for (const int width : kScanWidths) {
-    // Summary must be the ENGINE's instantiation (the partitioned flag is part
-    // of the type, and each instantiation owns its own counters/fail blocks).
-    RunScanCell<OrecLBloom, OrecLBloom::Full::Summary, ValProbe<OrecLBloomTag>>(
-        report, scan_table, "btree-orec-l", "local", "bloom", width, scan_threads);
-    RunScanCell<ValBloom, GlobalCounterBloomValidation::Summary,
-                ValProbe<ValDomainTag>>(report, scan_table, "btree-val", "none",
-                                        "bloom", width, scan_threads);
-    RunScanCell<ValPart, GlobalCounterBloomValidation::Summary,
-                ValProbe<ValDomainTag>>(report, scan_table, "btree-val", "none",
-                                        "partitioned", width, scan_threads);
+    RunScanCell(report, scan_table, width, scan_threads);
   }
   std::fputs(scan_table.ToString().c_str(), stdout);
 

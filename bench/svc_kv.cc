@@ -258,7 +258,6 @@ void RunStripeProbe(JsonReport& report, TextTable& table) {
   r.lookup_pct = 100;
   r.has_probes = true;
   r.counter_skips = after.counter_skips - before.counter_skips;
-  r.bloom_skips = after.bloom_skips - before.bloom_skips;
   r.validation_walks = after.validation_walks - before.validation_walks;
   r.strategy_switches = after.strategy_switches - before.strategy_switches;
   r.has_stripes = true;

@@ -129,7 +129,6 @@ std::string JsonReport::ToJson() const {
         << "\"duration_s\": " << JsonNum(r.duration_s);
     if (r.has_probes) {
       out << ", \"counter_skips\": " << r.counter_skips
-          << ", \"bloom_skips\": " << r.bloom_skips
           << ", \"validation_walks\": " << r.validation_walks
           << ", \"strategy_switches\": " << r.strategy_switches;
     }
@@ -140,10 +139,7 @@ std::string JsonReport::ToJson() const {
           << ", \"scan_width\": " << r.scan_width
           << ", \"simd_batches\": " << r.simd_batches
           << ", \"scalar_checks\": " << r.scalar_checks
-          << ", \"wset_bloom_misses\": " << r.wset_bloom_misses
-          << ", \"ring_window_fails\": " << r.ring_window_fails
-          << ", \"ring_stale_fails\": " << r.ring_stale_fails
-          << ", \"ring_intersect_fails\": " << r.ring_intersect_fails;
+          << ", \"wset_bloom_misses\": " << r.wset_bloom_misses;
     }
     if (r.has_stripes) {
       out << ", \"stripe_skips\": " << r.stripe_skips

@@ -46,7 +46,6 @@ struct BenchRecord {
   std::string strategy;   // validation strategy: fixed name or "adaptive"
   bool has_probes = false;              // when true, the probe fields are emitted
   std::uint64_t counter_skips = 0;      // ValProbe: walks avoided by stable counter
-  std::uint64_t bloom_skips = 0;        // ValProbe: walks avoided by ring blooms
   std::uint64_t validation_walks = 0;   // ValProbe: full read-set walks
   std::uint64_t strategy_switches = 0;  // ValProbe: strategy transitions observed
 
@@ -60,9 +59,6 @@ struct BenchRecord {
   std::uint64_t simd_batches = 0;       // ValProbe: 4-entry gather iterations
   std::uint64_t scalar_checks = 0;      // ValProbe: scalar-path entry checks
   std::uint64_t wset_bloom_misses = 0;  // WriteSet: lookups killed by the bloom
-  std::uint64_t ring_window_fails = 0;     // WriterRing: range wider than probe cap
-  std::uint64_t ring_stale_fails = 0;      // WriterRing: unpublished/recycled tag
-  std::uint64_t ring_intersect_fails = 0;  // WriterRing: bloom hit (saturation)
 
   // Partitioned-NOrec extensions (abl_readset_layout scan rows): emitted only
   // when has_stripes is set, so earlier BENCH_*.json files stay byte-stable.

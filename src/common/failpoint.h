@@ -1,7 +1,7 @@
 // Deterministic fail-point fault injection, compiled out of production builds.
 //
 // The PR-2/PR-4 skip-soundness bugs both lived in windows a few instructions
-// wide (the orec sandwich, the counter-bump/ring-publish gap). Plain stress
+// wide (the orec sandwich, the counter-bump/release gap). Plain stress
 // tests hit such windows by luck; a fail point turns luck into a schedule: at
 // each named site an armed build can (a) force the transaction to abort, or
 // (b) inject a delay/yield to widen the race window, both driven by a seeded
@@ -45,7 +45,7 @@ enum class Site : int {
   kPostReadPreSandwich = 0,  // between the data load and the version re-check
   kPreValidate,              // before a skip check / read-set walk
   kPreBump,                  // before the global commit-counter fetch_add
-  kPreRingPublish,           // the counter-bump -> ring-publish tail window
+  kPostBump,                 // counter bumped, locks held: the bump -> release window
   kPreStripeBump,            // before the per-stripe counter bumps
   kLockAcquire,              // before a lock-word CAS
   // Scheduler-era sites (PR 8): planted with SPECTM_SCHED_POINT/_SPIN, so
@@ -58,7 +58,6 @@ enum class Site : int {
   kSerialTokenRelease, // before the owner-pointer clearing store
   kEpochAdvance,       // epoch advance/reclaim scan entry
   kEpochRetire,        // object pushed into a limbo bag
-  kPostRingPublish,    // ring entry published, locks still held
   kBackoffWait,        // once per contention-abort backoff wait
   // MVCC sites (PR 9): the version-chain publication window and the snapshot
   // reclamation edges. kVersionPublish is a pause site between the displaced
@@ -81,8 +80,8 @@ inline const char* SiteName(Site s) {
       return "pre-validate";
     case Site::kPreBump:
       return "pre-bump";
-    case Site::kPreRingPublish:
-      return "pre-ring-publish";
+    case Site::kPostBump:
+      return "post-bump";
     case Site::kPreStripeBump:
       return "pre-stripe-bump";
     case Site::kLockAcquire:
@@ -99,8 +98,6 @@ inline const char* SiteName(Site s) {
       return "epoch-advance";
     case Site::kEpochRetire:
       return "epoch-retire";
-    case Site::kPostRingPublish:
-      return "post-ring-publish";
     case Site::kBackoffWait:
       return "backoff-wait";
     case Site::kVersionPublish:

@@ -4,7 +4,7 @@
 // static_asserts in tests/common/health_test.cc).
 //
 // A misbehaving workload — an abort storm from pathological contention, a
-// serial-token holder that never drains, a saturated writer ring — should
+// serial-token holder that never drains — should
 // degrade the domain's throughput, not its liveness or anyone's correctness.
 // The watchdog is deliberately *event-counted*, never wall-clocked: a window
 // is N attempt outcomes, a gate-hold overrun is K consecutive attempt starts
@@ -66,7 +66,6 @@ struct Counters {
   std::uint64_t degrade_exits = 0;          // degraded -> healthy transitions
   std::uint64_t throttled_escalations = 0;  // escalations declined while degraded
   std::uint64_t gate_overruns = 0;          // K-consecutive foreign-owner streaks
-  std::uint64_t ring_saturated_windows = 0; // windows whose ring-fail delta stormed
   std::uint64_t snapshots = 0;              // diagnostics snapshots stored
 };
 
@@ -118,14 +117,6 @@ constexpr bool Degraded() {
 }
 
 template <typename Tag>
-constexpr void SetRingGauge(std::uint64_t) {}
-
-template <typename Tag>
-constexpr std::uint64_t RingGauge() {
-  return 0;
-}
-
-template <typename Tag>
 constexpr void ResetForTest() {}
 
 #else  // SPECTM_HEALTH
@@ -148,7 +139,6 @@ struct ThreadState {
   std::uint32_t window_events = 0;
   std::uint32_t window_aborts = 0;
   std::uint32_t foreign_serial_streak = 0;
-  std::uint64_t ring_window_anchor = 0;  // ring gauge at the window's open
   bool degraded = false;
 
   static ThreadState& Tls() {
@@ -161,16 +151,6 @@ template <typename Tag>
 inline std::string& SnapshotSlot() {
   thread_local std::string snapshot;
   return snapshot;
-}
-
-// WriterRing saturation gauge: the val engines publish their cumulative
-// intersect-failure count here (a ring whose blooms keep colliding absorbs no
-// skips — the domain is paying summary maintenance for nothing). Latest-value
-// gauge; the window logic differences it.
-template <typename Tag>
-inline std::uint64_t& RingGaugeSlot() {
-  thread_local std::uint64_t gauge = 0;
-  return gauge;
 }
 
 }  // namespace internal
@@ -223,27 +203,14 @@ inline Event OnOutcome(Backoff& backoff, bool committed) {
   const std::uint32_t aborts = s.window_aborts;
   s.window_events = 0;
   s.window_aborts = 0;
-  const std::uint64_t ring_now = internal::RingGaugeSlot<Tag>();
-  const std::uint64_t ring_delta = ring_now - s.ring_window_anchor;
-  s.ring_window_anchor = ring_now;
-  // Ring saturation: on average every attempt of the window lost a skip to a
-  // bloom intersection — the summary machinery is defeated, same treatment as
-  // an abort storm (the widened backoff sheds the writer traffic causing it).
-  const bool ring_saturated = ring_delta >= events;
-  if (ring_saturated) {
-    ++p.ring_saturated_windows;
-  }
   if (!s.degraded) {
     if (aborts * 2 >= events) {  // enter: at least half the window aborted
       ++p.storms;
       return EnterDegraded<Tag>(backoff);
     }
-    if (ring_saturated) {
-      return EnterDegraded<Tag>(backoff);
-    }
     return Event::kNone;
   }
-  if (aborts * 8 <= events && !ring_saturated) {  // hysteretic exit
+  if (aborts * 8 <= events) {  // hysteretic exit
     ++p.degrade_exits;
     s.degraded = false;
     backoff.SetWidening(1);
@@ -294,16 +261,6 @@ inline bool Degraded() {
   return internal::ThreadState<Tag>::Tls().degraded;
 }
 
-template <typename Tag>
-inline void SetRingGauge(std::uint64_t cumulative_intersect_fails) {
-  internal::RingGaugeSlot<Tag>() = cumulative_intersect_fails;
-}
-
-template <typename Tag>
-inline std::uint64_t RingGauge() {
-  return internal::RingGaugeSlot<Tag>();
-}
-
 // Diagnostics snapshot storage (assembled by the integration layer; see
 // SerialCm::EmitHealthSnapshot in src/tm/serial.h).
 template <typename Tag>
@@ -321,7 +278,6 @@ template <typename Tag>
 inline void ResetForTest() {
   internal::ThreadState<Tag>::Tls() = internal::ThreadState<Tag>{};
   internal::SnapshotSlot<Tag>().clear();
-  internal::RingGaugeSlot<Tag>() = 0;
   HealthProbe<Tag>::Reset();
   SetHealthWindow(kHealthWindowDefault);
 }

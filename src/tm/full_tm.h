@@ -56,10 +56,11 @@
 namespace spectm {
 
 // kMode (valstrategy.h) opts the family into the adaptive validation engine:
-// writers then bump the domain's WriterSummary (commit counter + write-bloom ring)
-// while holding their commit locks, and local-clock readers use it to skip the
-// otherwise per-read O(read-set) revalidation (§4.1's "-l" cost). kPassive is the
-// zero-overhead default: no summary, the seed's exact behavior.
+// writers then bump the domain's WriterSummary (commit counter, plus the stripe
+// counters under kPartitioned) while holding their commit locks, and local-clock
+// readers use it to skip the otherwise per-read O(read-set) revalidation (§4.1's
+// "-l" cost). kPassive is the zero-overhead default: no summary, the seed's
+// exact behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
           ValMode kMode = ValMode::kPassive>
 class FullTm {
@@ -103,13 +104,8 @@ class FullTm {
       active_ = true;
       user_abort_ = false;
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // observes foreign serial holds before the escalation decision below.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && kMode != ValMode::kPassive) {
-        health::SetRingGauge<DomainTag>(Summary::Fails().intersect);
-      }
       // Two-phase contention manager, phase 2: past the (hysteretic) streak
       // threshold this attempt runs serial-irrevocable. Token first, reads
       // after — once AcquireSerial returns, no other committer is in flight,
@@ -127,7 +123,7 @@ class FullTm {
         // (StrategyState): the anchor is drawn before the first read, so the
         // skip argument's "every entry admitted no earlier than the sample it
         // is judged against" holds for the whole attempt.
-        state_.StartAttempt(kMode, /*has_bloom_ring=*/true, desc_->stats);
+        state_.StartAttempt(kMode, desc_->stats);
       }
     }
 
@@ -195,8 +191,8 @@ class FullTm {
           // consistency point for the full set. A first read validates nothing.
           //
           // Strategy fast paths (valstrategy.h): a stable domain commit counter —
-          // or all-disjoint intervening write blooms — proves the earlier entries
-          // unchanged without walking them.
+          // or, under kPartitioned, stable read-occupied stripes — proves the
+          // earlier entries unchanged without walking them.
           if (desc_->read_log.Size() > 1) {
             bool ok;
             if constexpr (kStrategicReads) {
@@ -297,19 +293,17 @@ class FullTm {
       Word own_idx = 0;
       unsigned write_stripes = 0;
       if constexpr (kMode != ValMode::kPassive) {
-        // Writer summary: bump-and-publish while every commit lock is held, BEFORE
+        // Writer summary: bump while every commit lock is held, BEFORE
         // the commit-time validation below and before any data store or orec
         // release. Bump-before-validate is what lets the skip paths stay sound
         // between two crossing committers (valstrategy.h): whichever bumps second
         // fails its own skip test and walks into the first one's locks. The
         // stripe mask shards the bump: only the counter stripes this write set
         // touches move, so disjoint-stripe readers keep their anchors.
-        Bloom128 write_bloom;
         for (const LockLogEntry& l : desc_->lock_log) {
-          write_bloom |= AddrBloom128(l.orec);
           write_stripes |= 1u << CounterStripeOf(l.orec);
         }
-        own_idx = Summary::PublishAndBump(write_bloom, write_stripes);
+        own_idx = Summary::Bump(write_stripes);
         ++Probe::Get().summary_publishes;
         if constexpr (kMode == ValMode::kPartitioned) {
           Probe::Get().stripe_bumps +=
@@ -320,10 +314,8 @@ class FullTm {
         // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
         // foreign commit bumped since the log was last known valid (writers that
         // bump after us validate after our locks are visible and detect us
-        // instead); under kPartitioned the same holds one stripe at a time, and
-        // under kBloom/kStripe foreign commits in (sample, own_idx) may
-        // intervene as long as their write blooms miss our read bloom. Our own
-        // commit locks pin the write set regardless.
+        // instead); under kPartitioned the same holds one stripe at a time.
+        // Our own commit locks pin the write set regardless.
         if (!skip_validation && state_.TrySkipCommit(own_idx, write_stripes)) {
           skip_validation = true;
         }

@@ -17,7 +17,7 @@
 //     participate. Read-only transactions never touch the gate and keep
 //     running concurrently with a serial transaction.
 //   * The serial transaction still runs the normal publication protocol —
-//     commit-counter bump, per-stripe bumps, ring publish, in the normal
+//     per-stripe bumps, commit-counter bump, in the normal
 //     bump-before-validate order — because concurrent READERS are still
 //     relying on those counters for their NOrec / partitioned skip anchors.
 //     A serial mode that skipped publication would let a reader "counter
@@ -332,9 +332,7 @@ struct SerialCm {
         .Add("degrade_enters", h.degrade_enters)
         .Add("degrade_exits", h.degrade_exits)
         .Add("throttled_escalations", h.throttled_escalations)
-        .Add("gate_overruns", h.gate_overruns)
-        .Add("ring_saturated_windows", h.ring_saturated_windows)
-        .Add("ring_intersect_fails", health::RingGauge<DomainTag>());
+        .Add("gate_overruns", h.gate_overruns);
     health::StoreSnapshot<DomainTag>(b.Finish());
   }
 #endif

@@ -47,7 +47,8 @@ namespace spectm {
 // kMode (valstrategy.h) opts the family into the adaptive validation engine: RW
 // commits and single-op writers bump the domain's WriterSummary while holding their
 // orec locks, and RO readers carry a persistent counter sample so an unchanged
-// counter (or disjoint write blooms) skips the per-read RO-prefix revalidation.
+// counter (or, under kPartitioned, unchanged read-occupied stripes) skips the
+// per-read RO-prefix revalidation.
 // kPassive is the zero-overhead default: no summary, the seed's exact behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
           ValMode kMode = ValMode::kPassive>
@@ -170,7 +171,8 @@ class ShortTm {
         //
         // Strategy fast paths (valstrategy.h): the persistent sample_ names a
         // domain-counter value at which the whole RO log was valid; a stable
-        // counter — or all-disjoint intervening write blooms — skips the walk.
+        // counter — or, under kPartitioned, stable read-occupied stripes — skips
+        // the walk.
         // The tracked walk runs AFTER the push so the entry just read is covered
         // by the re-anchored sample too (valstrategy.h tail rule); the passive
         // walk keeps the seed's prefix-only shape, whose result is not reused.
@@ -263,7 +265,7 @@ class ShortTm {
     bool CommitRw(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
-      PublishWriterSummary();  // before the data stores, while every lock is held
+      BumpWriterSummary();  // before the data stores, while every lock is held
       const Word* v = values.begin();
       for (std::size_t i = 0; i < rw_.Size(); ++i) {
         Layout::Data(*rw_[i].slot).store(v[i], std::memory_order_release);
@@ -277,11 +279,11 @@ class ShortTm {
     // set. Returns false — with all locks released and values untouched — if
     // validation fails; the caller restarts.
     //
-    // Writer-summary order: bump-and-publish BEFORE the final RO validation
+    // Writer-summary order: bump BEFORE the final RO validation
     // (bump-before-validate, valstrategy.h): of two crossing committers the one
     // that bumps second fails its own-idx skip test and walks into the other's
     // encounter-time locks. A pure-RO mixed commit (empty RW set) holds no locks,
-    // publishes nothing, and validates the ordinary way.
+    // bumps nothing, and validates the ordinary way.
     bool CommitMixed(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size());
@@ -291,7 +293,7 @@ class ShortTm {
           ro_ok = ValidateRo();
         } else {
           unsigned write_stripes = 0;
-          const Word own_idx = PublishWriterSummary(&write_stripes);
+          const Word own_idx = BumpWriterSummary(&write_stripes);
           if (state_.TrySkipCommit(own_idx, write_stripes)) {
             ro_ok = true;
           } else {
@@ -391,20 +393,15 @@ class ShortTm {
     // takes the serialization token up front and cannot conflict thereafter.
     void StartAttempt() {
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // observes foreign serial holds before the escalation decision below.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && kStrategic) {
-        health::SetRingGauge<DomainTag>(Summary::Fails().intersect);
-      }
       if (!serial_ && Cm::ShouldEscalate(*desc_)) {
         Gate::AcquireSerial(desc_);
         serial_ = true;
         Cm::NoteEscalated(*desc_);
       }
       if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, /*has_bloom_ring=*/true, desc_->stats);
+        state_.StartAttempt(kMode, desc_->stats);
       }
     }
 
@@ -470,21 +467,19 @@ class ShortTm {
     }
 
     // Writer-side summary: bump the domain counter — only the stripes this write
-    // set touches — and publish the write-set bloom while all orec locks are
-    // held, before any data store and before the final commit validation
-    // (valstrategy.h ordering). Returns the writer's own commit index (0 when
-    // nothing was published) and, via `out_stripes`, the stripe mask it bumped
-    // (for the partitioned commit-skip test). A pure-RO commit (empty RW set)
-    // releases nothing and must not move the counter.
-    Word PublishWriterSummary(unsigned* out_stripes = nullptr) {
+    // set touches — while all orec locks are held, before any data store and
+    // before the final commit validation (valstrategy.h ordering). Returns the
+    // writer's own commit index (0 when nothing was bumped) and, via
+    // `out_stripes`, the stripe mask it bumped (for the partitioned commit-skip
+    // test). A pure-RO commit (empty RW set) releases nothing and must not move
+    // the counter.
+    Word BumpWriterSummary(unsigned* out_stripes = nullptr) {
       if constexpr (kStrategic) {
         if (rw_.Empty()) {
           return 0;
         }
-        Bloom128 bloom;
         unsigned stripes = 0;
         for (const RwEntry& e : rw_) {
-          bloom |= AddrBloom128(e.orec);
           stripes |= 1u << CounterStripeOf(e.orec);
         }
         if (out_stripes != nullptr) {
@@ -495,7 +490,7 @@ class ShortTm {
           Probe::Get().stripe_bumps +=
               static_cast<std::uint64_t>(CountStripeBits(stripes));
         }
-        return Summary::PublishAndBump(bloom, stripes);
+        return Summary::Bump(stripes);
       }
       return 0;
     }
@@ -630,8 +625,7 @@ class ShortTm {
       if constexpr (kMode == ValMode::kPartitioned) {
         ++Probe::Get().stripe_bumps;
       }
-      Summary::PublishAndBump(AddrBloom128(&orec),
-                              1u << CounterStripeOf(&orec));
+      Summary::Bump(1u << CounterStripeOf(&orec));
     }
     Layout::Data(*s).store(value, std::memory_order_release);
     Word wv = 0;
@@ -666,8 +660,7 @@ class ShortTm {
       if constexpr (kMode == ValMode::kPartitioned) {
         ++Probe::Get().stripe_bumps;
       }
-      Summary::PublishAndBump(AddrBloom128(&orec),
-                              1u << CounterStripeOf(&orec));
+      Summary::Bump(1u << CounterStripeOf(&orec));
     }
     Layout::Data(*s).store(desired, std::memory_order_release);
     Word wv = 0;

@@ -39,7 +39,7 @@ struct TxStats {
   std::atomic<std::uint64_t> aborts{0};
   std::atomic<std::uint32_t> abort_ewma_q16{0};
   // Validation-skip efficacy EWMA (Q16): fraction of recent skip-eligible
-  // validation events that a counter/bloom skip actually absorbed. Starts
+  // validation events that a counter/stripe skip actually absorbed. Starts
   // optimistic so fresh descriptors try the cheap strategies first; decays when
   // the domain's write traffic defeats them, steering the adaptive engine back
   // to the plain incremental walk.

@@ -19,9 +19,9 @@
 // counter policies), so it gains the most from gather-compare.
 //
 // The per-read revalidation is strategy-driven (valstrategy.h StrategyState): the
-// default kCounterSkip mode reproduces the classic NOrec skip; kBloom adds the
-// write-bloom pre-filter (needs a kHasBloomRing policy); kAdaptive re-picks per
-// attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
+// default kCounterSkip mode reproduces the classic NOrec skip; kPartitioned
+// skips on stable read-occupied stripes (needs a kPartitioned policy); kAdaptive
+// re-picks per attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
 #ifndef SPECTM_TM_VAL_FULL_H_
 #define SPECTM_TM_VAL_FULL_H_
 
@@ -88,17 +88,11 @@ class ValFullTm {
       active_ = true;
       user_abort_ = false;
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // observes foreign serial holds before the escalation decision below.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && Validation::kHasBloomRing) {
-        health::SetRingGauge<ValDomainTag>(
-            Validation::Summary::Fails().intersect);
-      }
       // Serial escalation (src/tm/serial.h): token before the first read, so
       // the attempt observes a committer-quiescent domain and cannot abort.
-      // The serial commit below still bumps/publishes the writer summary —
+      // The serial commit below still bumps the writer summary —
       // concurrent READERS keep validating against it (see VALIDATION.md
       // "Serial-irrevocable interop").
       if (!serial_ && Cm::ShouldEscalate(*desc_)) {
@@ -107,7 +101,7 @@ class ValFullTm {
         Cm::NoteEscalated(*desc_);
       }
       if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, Validation::kHasBloomRing, desc_->stats);
+        state_.StartAttempt(kMode, desc_->stats);
       } else {
         state_.Anchor();  // sample kept current for ValidateReads' re-anchor
       }
@@ -167,9 +161,8 @@ class ValFullTm {
       //     between (NOrec's observation), so the O(read-set) re-check is skipped.
       //     The anchor always names a counter value at which the whole log was
       //     valid, so the entry just appended joins a still-valid snapshot;
-      //   * under kBloom, a moved counter still skips the walk when every
-      //     intervening commit's write bloom is disjoint from this read set
-      //     (the anchor then advances to the current counter).
+      //   * under kPartitioned, a moved counter still skips the walk when every
+      //     stripe this read set occupies is unchanged.
       if (desc_->val_read_log.Size() > 1) {
         if constexpr (kStrategic) {
           if (state_.TrySkipRead(&desc_->stats) ==
@@ -252,16 +245,11 @@ class ValFullTm {
         ReleaseLocks();
         OnAbort();
       });
-      Bloom128 write_bloom = Bloom128All();
-      unsigned write_stripes = kAllCounterStripesMask;
-      if constexpr (Validation::kHasBloomRing) {
-        write_bloom = Bloom128{};  // accumulated per locked entry below
-        write_stripes = 0;
-      }
+      unsigned write_stripes =
+          Validation::kPartitioned ? 0u : kAllCounterStripesMask;
       for (const WriteSet::Entry& e : desc_->wset) {
         auto* word = &static_cast<Slot*>(e.addr)->word;
-        if constexpr (Validation::kHasBloomRing) {
-          write_bloom |= AddrBloom128(word);
+        if constexpr (Validation::kPartitioned) {
           write_stripes |= 1u << CounterStripeOf(word);
         }
         if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
@@ -281,13 +269,12 @@ class ValFullTm {
           }
         }
       }
-      // Writer bump-and-publish BEFORE the commit-time validation and the stores,
+      // Writer bump BEFORE the commit-time validation and the stores,
       // while every lock is held (bump-before-validate, valstrategy.h): of two
       // crossing committers the one that bumps second fails its skip test below
       // and walks into the other's locks. Under a partitioned policy only the
       // counter stripes this write set touches are bumped.
-      const Word own_idx =
-          Validation::OnWriterCommitWithBloom(desc_, write_bloom, write_stripes);
+      const Word own_idx = Validation::OnWriterCommit(desc_, write_stripes);
       if constexpr (kStrategic) {
         ++Probe::Get().summary_publishes;
         if constexpr (Validation::kPartitioned) {
@@ -299,9 +286,7 @@ class ValFullTm {
       // policies without a single index, a fresh sample at anchor + 1) proves no
       // foreign writer released a value since the log was last known valid (our
       // own commit locks pin the rest); under kPartitioned the same test runs
-      // per READ-occupied stripe with the own-bump contribution subtracted, and
-      // under kBloom/kStripe foreign commits before our bump may intervene if
-      // their write blooms miss our read bloom.
+      // per READ-occupied stripe with the own-bump contribution subtracted.
       bool skip_walk = false;
       if constexpr (kStrategic) {
         skip_walk = state_.TrySkipCommit(own_idx, write_stripes);

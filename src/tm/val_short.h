@@ -141,9 +141,9 @@ class ValShortTm {
         // anchor names a counter value at which the whole RO log was
         // simultaneously valid (every entry was read unlocked, so any writer
         // that bumped before the anchor had already released these words). A
-        // stable counter — or all-disjoint intervening write blooms — lets the
-        // read-set walk be skipped and the value just read join a still-valid
-        // snapshot.
+        // stable counter — or, under a partitioned policy, stable read-occupied
+        // stripes — lets the read-set walk be skipped and the value just read
+        // join a still-valid snapshot.
         bool ok;
         if constexpr (kStrategic) {
           ok = state_.TrySkipRead(&desc_->stats) ==
@@ -227,7 +227,7 @@ class ValShortTm {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
       // Before the stores, while locks are held.
-      [[maybe_unused]] const Word own_idx = PublishWriterSummary();
+      [[maybe_unused]] const Word own_idx = BumpWriterSummary();
       if constexpr (kSnapshotMode) {
         PublishShortVersions(own_idx);
       }
@@ -242,10 +242,10 @@ class ValShortTm {
 
     // Tx_RO_x_RW_y_Commit: validate the remaining RO entries, then commit.
     //
-    // Writer-summary order: bump-and-publish BEFORE the final RO validation
+    // Writer-summary order: bump BEFORE the final RO validation
     // (bump-before-validate, valstrategy.h); the own-idx skip test keeps two
     // crossing committers from passing each other. A pure-RO mixed commit holds
-    // no locks, publishes nothing, and validates the ordinary way.
+    // no locks, bumps nothing, and validates the ordinary way.
     bool CommitMixed(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size());
@@ -263,7 +263,7 @@ class ValShortTm {
           }
         } else {
           unsigned write_stripes = 0;
-          own_idx = PublishWriterSummary(&write_stripes);
+          own_idx = BumpWriterSummary(&write_stripes);
           ro_ok = state_.TrySkipCommit(own_idx, write_stripes) || ValidateRo();
         }
       } else {
@@ -352,25 +352,19 @@ class ValShortTm {
     // needs the sample no later than the first read). Also the escalation
     // checkpoint (src/tm/serial.h): past the hysteretic abort-streak threshold
     // the attempt takes the serialization token up front. Serial commits still
-    // publish the writer summary below — concurrent readers' skip anchors
+    // bump the writer summary below — concurrent readers' skip anchors
     // depend on it (VALIDATION.md "Serial-irrevocable interop").
     void StartAttempt() {
       // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below,
-      // and refreshes the ring-saturation gauge from this thread's intersect
-      // failures so the window close in OnOutcome sees the current level.
+      // observes foreign serial holds before the escalation decision below.
       Cm::NoteAttemptStart(*desc_);
-      if constexpr (health::kEnabled && Validation::kHasBloomRing) {
-        health::SetRingGauge<ValDomainTag>(
-            Validation::Summary::Fails().intersect);
-      }
       if (!serial_ && Cm::ShouldEscalate(*desc_)) {
         Gate::AcquireSerial(desc_);
         serial_ = true;
         Cm::NoteEscalated(*desc_);
       }
       if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, Validation::kHasBloomRing, desc_->stats);
+        state_.StartAttempt(kMode, desc_->stats);
       }
       if constexpr (kSnapshotMode) {
         // Two-step pin (epoch.h): announce intent, sample, publish — the
@@ -461,39 +455,30 @@ class ValShortTm {
     }
 
     // Writer-side summary: bump the commit counter — only the stripes this write
-    // set touches, under a partitioned policy — and publish the write-set bloom,
-    // while all locks are held, before the releasing stores and before any final
-    // commit validation (valstrategy.h ordering). Returns the writer's own commit
-    // index (0 when the policy has none) and, via `out_stripes`, the bumped
-    // stripe mask for the partitioned commit-skip test. A pure-RO commit (empty
-    // RW set) releases nothing and must not move the counter.
-    Word PublishWriterSummary(unsigned* out_stripes = nullptr) {
+    // set touches, under a partitioned policy — while all locks are held, before
+    // the releasing stores and before any final commit validation
+    // (valstrategy.h ordering). Returns the writer's own commit index (0 when
+    // the policy has none) and, via `out_stripes`, the bumped stripe mask for
+    // the partitioned commit-skip test. A pure-RO commit (empty RW set)
+    // releases nothing and must not move the counter.
+    Word BumpWriterSummary(unsigned* out_stripes = nullptr) {
       if (rw_.Empty()) {
         return 0;
       }
       ++Probe::Get().summary_publishes;
-      if constexpr (Validation::kHasBloomRing) {
-        Bloom128 bloom;
-        unsigned stripes = 0;
+      unsigned stripes = kAllCounterStripesMask;
+      if constexpr (Validation::kPartitioned) {
+        stripes = 0;
         for (const RwEntry& e : rw_) {
-          bloom |= AddrBloom128(&e.slot->word);
           stripes |= 1u << CounterStripeOf(&e.slot->word);
         }
-        if (out_stripes != nullptr) {
-          *out_stripes = stripes;
-        }
-        if constexpr (Validation::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(stripes));
-        }
-        return Validation::OnWriterCommitWithBloom(desc_, bloom, stripes);
-      } else {
-        if (out_stripes != nullptr) {
-          *out_stripes = kAllCounterStripesMask;
-        }
-        return Validation::OnWriterCommitWithBloom(desc_, Bloom128All(),
-                                                   kAllCounterStripesMask);
+        Probe::Get().stripe_bumps +=
+            static_cast<std::uint64_t>(CountStripeBits(stripes));
       }
+      if (out_stripes != nullptr) {
+        *out_stripes = stripes;
+      }
+      return Validation::OnWriterCommit(desc_, stripes);
     }
 
     void Finish(bool committed) {
@@ -679,8 +664,8 @@ class ValShortTm {
       if constexpr (Validation::kPartitioned) {
         ++Probe::Get().stripe_bumps;
       }
-      [[maybe_unused]] const Word own_idx = Validation::OnWriterCommitWithBloom(
-          self, AddrBloom128(&s->word), 1u << CounterStripeOf(&s->word));
+      [[maybe_unused]] const Word own_idx =
+          Validation::OnWriterCommit(self, 1u << CounterStripeOf(&s->word));
       if constexpr (kSnapshotMode) {
         PublishSingleVersion(s, w, own_idx);
       }
@@ -743,8 +728,7 @@ class ValShortTm {
             ++Probe::Get().stripe_bumps;
           }
           [[maybe_unused]] const Word own_idx =
-              Validation::OnWriterCommitWithBloom(
-                  self, AddrBloom128(&s->word), 1u << CounterStripeOf(&s->word));
+              Validation::OnWriterCommit(self, 1u << CounterStripeOf(&s->word));
           if constexpr (kSnapshotMode) {
             PublishSingleVersion(s, w, own_idx);
           }

@@ -60,7 +60,7 @@ inline Word MakeValLocked(TxDesc* owner) {
 // --- Validation policies -------------------------------------------------------------
 //
 // Protocol shared by all writers (short RW commits, full commits, single writes):
-// while holding the lock(s), call OnWriterCommit*() BEFORE the value stores that
+// while holding the lock(s), call OnWriterCommit() BEFORE the value stores that
 // release them — and, for commits that validate a read set, BEFORE that final
 // validation (bump-before-validate; see the crossing-committer note in
 // valstrategy.h — a writer may only skip its commit-time walk when no foreign
@@ -79,16 +79,14 @@ inline Word MakeValLocked(TxDesc* owner) {
 // per-read revalidation. NonReuseValidation's trivially-stable pseudo-counter proves
 // nothing, so it must not enable that fast path.
 
-// `kHasBloomRing` marks policies that additionally publish each writer's write-set
-// bloom into a WriterRing (valstrategy.h), enabling the bloom-summary skip: a
-// reader whose counter went stale can still avoid the O(read-set) walk when every
-// intervening commit's bloom is disjoint from its read bloom. Writer paths call
-// OnWriterCommitWithBloom(); policies without a ring ignore the bloom.
+// OnWriterCommit() returns the writer's own commit index where the policy has a
+// single counter (the commit-skip test compares it against the reader's anchor),
+// and 0 where it has none.
 
 // `kPartitioned` marks policies whose counter is additionally sharded into
 // per-stripe counters keyed by the metadata word's address region
 // (valstrategy.h kCounterStripes): writers pass the stripe mask of their write
-// set to OnWriterCommitWithBloom, and readers under ValMode::kPartitioned skip
+// set to OnWriterCommit, and readers under ValMode::kPartitioned skip
 // walks when every READ-occupied stripe is unchanged. Non-partitioned policies
 // ignore the mask; StrategyState compiles the stripe paths out for them.
 
@@ -102,17 +100,11 @@ inline Word MakeValLocked(TxDesc* owner) {
 struct NonReuseValidation {
   static constexpr const char* kName = "non-reuse";
   static constexpr bool kPrecise = false;
-  static constexpr bool kHasBloomRing = false;
   static constexpr bool kPartitioned = false;
   static constexpr bool kMvcc = false;
   static Word Sample() { return 0; }
   static bool Stable(Word /*sample*/) { return true; }
-  static bool BloomAdvance(Word* /*sample*/, const Bloom128& /*read_bloom*/) {
-    return true;
-  }
-  static void OnWriterCommit(TxDesc* /*self*/) {}
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
+  static Word OnWriterCommit(TxDesc* /*self*/, unsigned /*stripe_mask*/ = 0) {
     return 0;
   }
 };
@@ -122,7 +114,6 @@ struct NonReuseValidation {
 struct GlobalCounterValidation {
   static constexpr const char* kName = "global-counter";
   static constexpr bool kPrecise = true;
-  static constexpr bool kHasBloomRing = false;
   static constexpr bool kPartitioned = false;
   static constexpr bool kMvcc = false;
 
@@ -133,30 +124,21 @@ struct GlobalCounterValidation {
 
   static Word Sample() { return Counter().load(std::memory_order_seq_cst); }
   static bool Stable(Word sample) { return Sample() == sample; }
-  static bool BloomAdvance(Word* sample, const Bloom128& /*read_bloom*/) {
-    return Stable(*sample);
-  }
-  static void OnWriterCommit(TxDesc* /*self*/) {
-    Counter().fetch_add(1, std::memory_order_seq_cst);
-  }
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
+  static Word OnWriterCommit(TxDesc* /*self*/, unsigned /*stripe_mask*/ = 0) {
     return Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
   }
 };
 
-// Global counter + write-set bloom ring: the commit bump doubles as the publication
-// index for the writer's 32-bit write bloom, so readers can pre-filter stale
-// counters. A thin facade over WriterSummary (valstrategy.h) — ONE implementation
-// of the counter+ring protocol serves both the orec and the val layouts — on a
-// private domain tag, so families on this policy form their own validation domain.
-struct GlobalCounterBloomValidation {
-  struct RingDomainTag {};
-  using Summary = WriterSummary<RingDomainTag>;
+// Global counter + per-stripe counters (partitioned NOrec, valstrategy.h): a
+// thin facade over WriterSummary — ONE implementation of the striped counter
+// protocol serves both the orec and the val layouts — on a private domain tag,
+// so families on this policy form their own validation domain.
+struct StripedCounterValidation {
+  struct SummaryDomainTag {};
+  using Summary = WriterSummary<SummaryDomainTag>;
 
-  static constexpr const char* kName = "global-counter-bloom";
+  static constexpr const char* kName = "striped-counter";
   static constexpr bool kPrecise = true;
-  static constexpr bool kHasBloomRing = true;
   static constexpr bool kPartitioned = Summary::kPartitioned;
   static constexpr bool kMvcc = false;
 
@@ -165,40 +147,23 @@ struct GlobalCounterBloomValidation {
   static Word StripeNow(int s) { return Summary::StripeNow(s); }
   static StripeSample StripeSampleNow() { return Summary::StripeSampleNow(); }
 
-  static bool BloomAdvance(Word* sample, const Bloom128& read_bloom) {
-    return Summary::BloomAdvance(sample, read_bloom);
-  }
-
-  // Returns the writer's own commit index (see WriterSummary::PublishAndBump for
-  // the commit-skip contract it feeds and the stripe-mask protocol).
-  static Word OnWriterCommitWithBloom(TxDesc* /*self*/, const Bloom128& bloom,
-                                      unsigned stripe_mask = kAllCounterStripesMask) {
-    return Summary::PublishAndBump(bloom, stripe_mask);
-  }
-
-  // A writer path with no cheap write-set enumeration publishes the all-ones
-  // bloom and the all-stripes mask: readers then fall back to the walk for that
-  // commit, never skip unsoundly.
-  static void OnWriterCommit(TxDesc* self) {
-    OnWriterCommitWithBloom(self, Bloom128All(), kAllCounterStripesMask);
-  }
-
-  // Commit-time bloom pre-filter; the range contract lives in
-  // WriterSummary::CommitRangeDisjoint (single source of the off-by-one).
-  static bool CommitRangeDisjoint(Word sample, Word own_idx,
-                                  const Bloom128& read_bloom) {
-    return Summary::CommitRangeDisjoint(sample, own_idx, read_bloom);
+  // Returns the writer's own commit index (see WriterSummary::Bump for the
+  // commit-skip contract it feeds and the stripe-mask protocol). A writer path
+  // with no cheap write-set enumeration keeps the all-stripes default: readers
+  // then walk for that commit, never skip unsoundly.
+  static Word OnWriterCommit(TxDesc* /*self*/,
+                             unsigned stripe_mask = kAllCounterStripesMask) {
+    return Summary::Bump(stripe_mask);
   }
 };
 
-// MVCC snapshot policy (PR 9): writer-side protocol identical to the
-// partitioned counter+bloom policy — same RingDomainTag summary, same stripe
-// counters, same ring — plus kMvcc: committing writers publish every displaced
-// value onto the slot's version chain stamped with their own commit index
-// (src/tm/mvcc.h). Under ValMode::kSnapshot, read-only transactions pin a
+// MVCC snapshot policy: writer-side protocol identical to the striped counter
+// policy — same summary domain, same stripe counters — plus kMvcc: committing
+// writers publish every displaced value onto the slot's version chain stamped
+// with their own commit index (src/tm/mvcc.h). Under ValMode::kSnapshot, read-only transactions pin a
 // snapshot from this clock and read through the chains with zero validation;
 // read-write transactions keep the precise stripe protocol unchanged.
-struct SnapshotValidation : GlobalCounterBloomValidation {
+struct SnapshotValidation : StripedCounterValidation {
   static constexpr const char* kName = "snapshot";
   static constexpr bool kMvcc = true;
 };
@@ -273,7 +238,6 @@ inline SnapshotReadResult SnapshotReadSlot(ValSlot* s, Word snapshot) {
 struct PerThreadCounterValidation {
   static constexpr const char* kName = "per-thread-counters";
   static constexpr bool kPrecise = true;
-  static constexpr bool kHasBloomRing = false;
   static constexpr bool kPartitioned = false;
   static constexpr bool kMvcc = false;
 
@@ -287,19 +251,12 @@ struct PerThreadCounterValidation {
   }
 
   static bool Stable(Word sample) { return Sample() == sample; }
-  static bool BloomAdvance(Word* sample, const Bloom128& /*read_bloom*/) {
-    return Stable(*sample);
-  }
 
-  static void OnWriterCommit(TxDesc* self) {
+  // No single commit index exists for a distributed sum, so this returns 0;
+  // callers use the uniform "Sample() == sample + 1 after own bump" test
+  // instead (sums count all bumps, so anchor+1 means exactly this writer's own).
+  static Word OnWriterCommit(TxDesc* self, unsigned /*stripe_mask*/ = 0) {
     Counters()[self->thread_slot]->fetch_add(1, std::memory_order_seq_cst);
-  }
-  // No single commit index exists for a distributed sum; callers use the uniform
-  // "Sample() == sample + 1 after own bump" test instead (sums count all bumps,
-  // so anchor+1 means exactly this writer's own).
-  static Word OnWriterCommitWithBloom(TxDesc* self, const Bloom128& /*bloom*/,
-                                      unsigned /*stripe_mask*/ = 0) {
-    OnWriterCommit(self);
     return 0;
   }
 

@@ -3,9 +3,8 @@
 //
 // The paper's local-clock and value-based variants pay O(read-set) revalidation on
 // every read to preserve opacity (§4.1, Figure 5) — the cost behind the Figs 7–9
-// crossovers. No single remedy wins across workloads, so engines that opt in switch
-// at runtime between three strategies, driven by the descriptor's abort-rate EWMA
-// (txdesc.h):
+// crossovers. No single remedy wins across workloads, so engines that opt in pick
+// a strategy per attempt, driven by the descriptor's abort-rate EWMA (txdesc.h):
 //
 //   kCounterSkip — NOrec's precise-counter skip: a domain-wide commit counter that
 //     every writer bumps while holding its locks, before its releasing stores.
@@ -13,16 +12,9 @@
 //     released a value/version in between, so the O(read-set) walk is skipped.
 //     Cheapest when writer commits are rare relative to this thread's reads.
 //
-//   kBloom — counter skip plus a bloom-summary pre-filter: each writer publishes a
-//     32-bit bloom of its write set into a ring indexed by its counter bump; a
-//     reader whose counter went stale intersects its own read-set bloom with the
-//     blooms of the intervening commits and still skips the walk when they are
-//     disjoint. Rescues the skip under write traffic that does not touch this
-//     reader's read set, at the cost of maintaining the read bloom per read.
-//
 //   kIncremental — the paper's baseline: walk the read set, no shared-counter
-//     reliance. The fallback when contention is high enough that summaries rarely
-//     help and the walk happens anyway.
+//     reliance. The fallback when contention is high enough that the counter
+//     has almost always moved and the walk happens anyway.
 //
 //   kStripe (partitioned NOrec, ValMode::kPartitioned) — the commit counter is
 //     SHARDED into kCounterStripes cache-line-separated per-stripe counters keyed
@@ -30,38 +22,33 @@
 //     stripes its write set touches, and a reader's skip test compares a
 //     per-stripe sample vector against only the stripes its read set occupies.
 //     Disjoint-stripe write traffic no longer invalidates the reader's anchor at
-//     all — the failure mode the fixed-width bloom ring cannot absorb once a wide
-//     scan saturates its filter (the abl_readset_layout intersect-failure
-//     gradient). Per-stripe counters are consulted BEFORE the ring; bloom
-//     intersection is the fallback for same-stripe-but-disjoint traffic. The
-//     per-stripe soundness argument (anchor re-derivation, crossing committers)
-//     lives in docs/VALIDATION.md.
+//     all. The per-stripe soundness argument (anchor re-derivation, crossing
+//     committers) lives in docs/VALIDATION.md.
+//
+// The skip ladder is two steps: a stable counter (or, under kStripe, stable
+// read-occupied stripes) skips the walk; anything else walks.
 //
 // Strategy choice (kAdaptive) is re-evaluated from the EWMA at every transaction
-// start: low abort rate -> counter-skip, moderate -> bloom, high -> incremental.
-// The band edges are HYSTERETIC (same enter/exit dead-band pattern as the GV6
-// clock flip in clock.h): moving to a more conservative strategy uses the enter
-// threshold, moving back requires the EWMA to fall through a lower exit
-// threshold, so a border workload whose EWMA wiggles around one edge no longer
-// alternates strategies on every outcome. Fixed modes exist for ablation benches
-// (bench/abl_adaptive_val) so the adaptive engine can be measured against every
-// fixed point it switches between.
+// start: low abort rate -> counter-skip, high -> incremental. The band edge is
+// HYSTERETIC (same enter/exit dead-band pattern as the GV6 clock flip in
+// clock.h): moving to incremental uses the enter threshold, moving back requires
+// the EWMA to fall through a lower exit threshold, so a border workload whose
+// EWMA wiggles around one edge does not alternate strategies on every outcome.
+// Fixed modes exist for ablation benches (bench/abl_adaptive_val) so the adaptive
+// engine can be measured against every fixed point it switches between.
 //
-// Soundness of the skip paths (NOrec discipline, extended with blooms):
-//   * Writer protocol: acquire ALL commit locks, bump-and-publish, validate (or
-//     skip), only then perform the releasing stores. The lock is held across the
-//     whole bump..release window, so a writer whose bump predates a reader's
-//     sample is visibly locked on (or already done with) every location it will
-//     store to.
+// Soundness of the skip paths (NOrec discipline):
+//   * Writer protocol: acquire ALL commit locks, bump, validate (or skip), only
+//     then perform the releasing stores. The lock is held across the whole
+//     bump..release window, so a writer whose bump predates a reader's sample is
+//     visibly locked on (or already done with) every location it will store to.
 //   * Every read-log entry was admitted through an unlocked observation (val-layout
 //     reads spin past locks; orec reads sandwich an unlocked orec), so any writer
 //     that had bumped before the reader's sample had already finished with that
 //     location — its later stores cannot touch it.
 //   * Therefore "counter unchanged since sample" => every logged location is
 //     unchanged, and the newest read instant is a consistency point for the whole
-//     log. The bloom extension weakens "unchanged counter" to "all intervening
-//     commits have write blooms disjoint from my read bloom", which implies the
-//     same thing for the logged locations; bloom false positives only cost a walk.
+//     log.
 //
 // Tail rule: the engines' classic per-read walk may exclude the just-read entry
 // (consistent at its own read instant). A TRACKED walk — one that re-anchors the
@@ -102,7 +89,6 @@ enum class ValMode : std::uint8_t {
   kPassive,
   kIncremental,
   kCounterSkip,
-  kBloom,
   kAdaptive,
   kPartitioned,
   // MVCC (PR 9): read-only transactions pin a snapshot stamp and read through
@@ -114,7 +100,7 @@ enum class ValMode : std::uint8_t {
 
 // The strategy a transaction attempt actually runs with (kAdaptive resolves to one
 // of these at Start(); kStripe is the partitioned-NOrec per-stripe skip).
-enum class ValStrategy : std::uint8_t { kIncremental, kCounterSkip, kBloom, kStripe };
+enum class ValStrategy : std::uint8_t { kIncremental, kCounterSkip, kStripe };
 
 inline const char* ValStrategyName(ValStrategy s) {
   switch (s) {
@@ -122,33 +108,25 @@ inline const char* ValStrategyName(ValStrategy s) {
       return "incremental";
     case ValStrategy::kCounterSkip:
       return "counter-skip";
-    case ValStrategy::kBloom:
-      return "bloom";
     case ValStrategy::kStripe:
       return "partitioned";
   }
   return "?";
 }
 
-// EWMA thresholds for the adaptive choice, Q16 (65536 = 100% abort rate).
-//   < ~3%  aborts: contention is rare; the bare counter skip almost always fires
-//           and bloom maintenance would be pure overhead.
-//   < 25%  aborts: writers are active; pay the per-read bloom OR so disjoint write
-//           traffic still skips the walk.
-//   >= 25% aborts: walks happen regardless; stop paying for summaries.
+// EWMA thresholds for the adaptive choice, Q16 (65536 = 100% abort rate). Below
+// the band the bare counter skip almost always fires; at or above it walks
+// happen regardless, so the summary is not worth consulting.
 //
-// Each band edge is a hysteresis PAIR (the GV6 clock.h pattern): crossing the
-// *MaxQ16 enter threshold upward moves to the more conservative strategy; only
-// falling below the matching *ExitQ16 threshold moves back. Inside the dead band
-// the previous choice sticks, so a border workload's EWMA noise cannot alternate
-// strategies per attempt (ValProbe::strategy_switches pins the damping).
-inline constexpr std::uint32_t kEwmaCounterSkipMaxQ16 = 1u << 11;   // ~3.1%: enter bloom
-inline constexpr std::uint32_t kEwmaCounterSkipExitQ16 = 1u << 10;  // ~1.6%: back to counter-skip
-inline constexpr std::uint32_t kEwmaBloomMaxQ16 = 1u << 14;         // 25%: enter incremental
-inline constexpr std::uint32_t kEwmaBloomExitQ16 = 1u << 13;        // 12.5%: back to bloom
-static_assert(kEwmaCounterSkipExitQ16 < kEwmaCounterSkipMaxQ16 &&
-                  kEwmaBloomExitQ16 < kEwmaBloomMaxQ16,
-              "each dead band must be non-empty or the hysteresis degenerates to "
+// The edge is a hysteresis PAIR (the GV6 clock.h pattern): crossing the enter
+// threshold upward moves to incremental; only falling below the exit threshold
+// moves back. Inside the dead band the previous choice sticks, so a border
+// workload's EWMA noise cannot alternate strategies per attempt
+// (ValProbe::strategy_switches pins the damping).
+inline constexpr std::uint32_t kEwmaWalkEnterQ16 = 1u << 14;  // 25%: enter incremental
+inline constexpr std::uint32_t kEwmaWalkExitQ16 = 1u << 13;   // 12.5%: back to counter-skip
+static_assert(kEwmaWalkExitQ16 < kEwmaWalkEnterQ16,
+              "the dead band must be non-empty or the hysteresis degenerates to "
               "single-threshold flapping");
 
 // Below this skip-efficacy EWMA (txdesc.h) the adaptive engine stops paying for
@@ -173,8 +151,7 @@ inline constexpr std::uint32_t kSkipProbePeriod = 16;
 // moving toward incremental needs the enter edge, moving back the exit edge.
 // kPartitioned is a fixed mode resolving to kStripe; StrategyState clamps it to
 // kCounterSkip at compile time when the family's summary has no stripe counters.
-inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
-                                  std::uint32_t abort_ewma_q16,
+inline ValStrategy ChooseStrategy(ValMode mode, std::uint32_t abort_ewma_q16,
                                   std::uint32_t skip_ewma_q16 = 65536u,
                                   bool has_prev = false,
                                   ValStrategy prev = ValStrategy::kIncremental) {
@@ -184,8 +161,6 @@ inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
       return ValStrategy::kIncremental;
     case ValMode::kCounterSkip:
       return ValStrategy::kCounterSkip;
-    case ValMode::kBloom:
-      return has_bloom_ring ? ValStrategy::kBloom : ValStrategy::kCounterSkip;
     case ValMode::kPartitioned:
       return ValStrategy::kStripe;
     case ValMode::kSnapshot:
@@ -193,88 +168,20 @@ inline ValStrategy ChooseStrategy(ValMode mode, bool has_bloom_ring,
       // the read-write side, which keeps the per-stripe precise protocol.
       return ValStrategy::kStripe;
     case ValMode::kAdaptive: {
-      // Efficacy gate: once the engine fell back to walking, skips must prove
-      // themselves through the recover threshold before they are paid for again.
+      // Both gates key their hysteresis off whether the engine was walking:
+      // once it fell back, skips must prove themselves through the recover
+      // threshold and the abort EWMA must fall through the exit edge before
+      // they are paid for again. A fresh descriptor starts on the skip side.
       const bool was_walking = has_prev && prev == ValStrategy::kIncremental;
       if (skip_ewma_q16 < (was_walking ? kSkipEwmaRecoverQ16 : kSkipEwmaMinQ16)) {
         return ValStrategy::kIncremental;  // skips are not paying for themselves
       }
-      // Abort-pressure level: 0 = counter-skip, 1 = bloom, 2 = incremental.
-      // Rise through enter thresholds, fall through exit thresholds, stick in
-      // between. A fresh descriptor starts at level 0, which reproduces the old
-      // memoryless bands exactly.
-      int level = !has_prev || prev == ValStrategy::kCounterSkip ||
-                          prev == ValStrategy::kStripe
-                      ? 0
-                      : prev == ValStrategy::kBloom ? 1 : 2;
-      if (abort_ewma_q16 >= kEwmaBloomMaxQ16) {
-        level = 2;
-      } else if (abort_ewma_q16 >= kEwmaCounterSkipMaxQ16 && level < 1) {
-        level = 1;
-      }
-      if (abort_ewma_q16 < kEwmaCounterSkipExitQ16) {
-        level = 0;
-      } else if (abort_ewma_q16 < kEwmaBloomExitQ16 && level > 1) {
-        level = 1;
-      }
-      if (level == 0) {
-        return ValStrategy::kCounterSkip;
-      }
-      if (level == 1) {
-        // Mid band: bloom where a ring exists, otherwise the counter skip still
-        // beats walking (it is one shared load).
-        return has_bloom_ring ? ValStrategy::kBloom : ValStrategy::kCounterSkip;
-      }
-      return ValStrategy::kIncremental;
+      const std::uint32_t edge = was_walking ? kEwmaWalkExitQ16 : kEwmaWalkEnterQ16;
+      return abort_ewma_q16 >= edge ? ValStrategy::kIncremental
+                                    : ValStrategy::kCounterSkip;
     }
   }
   return ValStrategy::kIncremental;
-}
-
-// 128-bit, 2-hash bloom signature space for transactional locations (a location's
-// signature hashes its metadata word address: the orec for orec layouts, the value
-// word for the val layout). The 128 bits are organized as four 32-bit STRIPES —
-// stripe s holds bit positions [32s, 32s+32) — matching the WriterRing's
-// stripe-lane storage below: a probe touches only the stripes where the reader's
-// bloom has bits at all. Two set bits per address keep even btree range-scan read
-// sets (hundreds of entries) meaningfully under saturation, where the previous
-// 32-bit bloom saturated at a few dozen entries (the ROADMAP ring-saturation
-// item, measured in bench/abl_readset_layout).
-struct Bloom128 {
-  static constexpr int kStripes = 4;
-  std::uint32_t s[kStripes] = {0, 0, 0, 0};
-
-  bool Empty() const { return (s[0] | s[1] | s[2] | s[3]) == 0; }
-
-  Bloom128& operator|=(const Bloom128& o) {
-    for (int i = 0; i < kStripes; ++i) {
-      s[i] |= o.s[i];
-    }
-    return *this;
-  }
-
-  bool Intersects(const Bloom128& o) const {
-    return ((s[0] & o.s[0]) | (s[1] & o.s[1]) | (s[2] & o.s[2]) |
-            (s[3] & o.s[3])) != 0;
-  }
-};
-
-inline Bloom128 AddrBloom128(const void* p) {
-  std::uint64_t h =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p)) >> 3;
-  h *= 0x9e3779b97f4a7c15ULL;  // Fibonacci hashing, as in OrecTable::ForAddr
-  const unsigned b0 = static_cast<unsigned>(h >> 57);         // bits 57..63
-  const unsigned b1 = static_cast<unsigned>((h >> 33) & 127);  // bits 33..39
-  Bloom128 b;
-  b.s[b0 >> 5] |= 1u << (b0 & 31);
-  b.s[b1 >> 5] |= 1u << (b1 & 31);
-  return b;
-}
-
-// All-ones bloom: intersects everything, forcing readers to walk. The safe default
-// for writer paths that cannot cheaply enumerate their write set.
-inline Bloom128 Bloom128All() {
-  return Bloom128{{0xffffffffu, 0xffffffffu, 0xffffffffu, 0xffffffffu}};
 }
 
 // --- Partitioned NOrec: counter stripes -----------------------------------------
@@ -287,16 +194,13 @@ inline Bloom128 Bloom128All() {
 // hash-bit) keying is what makes the partition worth having: on layouts whose
 // metadata is co-located with the data (the val layout, §2.4), a structurally
 // local read set — a btree leaf-chain scan, a node's field cluster — occupies few
-// stripes no matter how many ENTRIES it has, which is precisely where the
-// fixed-width bloom ring saturates (abl_readset_layout's intersect-failure
-// gradient). On the hash-scattered shared orec table the stripe of an orec is
-// effectively random, so wide orec read sets still occupy every stripe; the
-// region partition only degrades to the whole-counter behavior there, never below
-// it (ROADMAP notes the striped-table alignment as follow-up).
-//
-// The stripe count matches the WriterRing's stripe lanes so the two summary
-// structures shard at the same granularity; sweep both together if resizing.
-inline constexpr int kCounterStripes = Bloom128::kStripes;
+// stripes no matter how many ENTRIES it has, so writers elsewhere in the
+// structure leave its anchor alone. On the hash-scattered shared orec table the
+// stripe of an orec is effectively random, so wide orec read sets still occupy
+// every stripe; the region partition only degrades to the whole-counter
+// behavior there, never below it (ROADMAP notes the striped-table alignment as
+// follow-up).
+inline constexpr int kCounterStripes = 4;
 inline constexpr int kCounterStripeShift = 12;  // 4 KiB regions
 inline constexpr unsigned kAllCounterStripesMask = (1u << kCounterStripes) - 1;
 
@@ -321,113 +225,19 @@ struct StripeSample {
   Word v[kCounterStripes] = {};
 };
 
-// Ring of recent writer commits, stripe-lane layout: commit i's 128-bit write
-// bloom lives as four words — lanes_[s][i%64] holds (low 32 bits of commit index
-// i, stripe s of the bloom) packed into ONE atomic word, so each lane word is
-// self-validating: publication and lookup of a stripe are a single store/load
-// with no tearing, and a reader that assembles stripes from different
-// publications sees a tag mismatch and falls back to the walk. A stale tag
-// (writer not yet published, or slot since overwritten) likewise just costs the
-// walk — the ring is an optimization channel, never a correctness dependency.
-//
-// Why stripe-major storage: a range probe scans commits (since, upto] within each
-// stripe lane, so L probed commits touch ceil(L/8) cache lines per CONSULTED
-// stripe — and a reader consults only stripes where its read bloom has bits (a
-// small read set occupies 1-2 of the 4 stripes). The previous layout paid one
-// line per probed commit regardless. Writers store one word per stripe; the
-// stores go to 4 distinct lines, but the writer path already owns the shared
-// counter line (the seq-cst bump), so publication stays a small constant.
-class WriterRing {
- public:
-  static constexpr int kLog2Slots = 6;
-  static constexpr int kStripes = Bloom128::kStripes;
-  static constexpr Word kSlotMask = (Word{1} << kLog2Slots) - 1;
-  // A reader walks at most this many ring entries before deciding the walk itself
-  // is cheaper; also keeps the probe window well inside the ring to make overwrite
-  // races (caught by the tag anyway) rare.
-  static constexpr Word kMaxSkipRange = 32;
-  static_assert(kMaxSkipRange < (Word{1} << 32),
-                "probe window must stay far inside the 32-bit tag space for the "
-                "documented 2^32 delayed-publish wrap bound to hold");
-
-  // Probe-failure taxonomy. Callers pass their own (typically thread-local, see
-  // WriterSummary::Fails) counter block — shared atomics here would add
-  // cross-core coherence traffic exactly in the contended regime where probes
-  // fail most. `intersect` is the ring-SATURATION signal
-  // bench/abl_readset_layout reports: a saturated bloom intersects everything,
-  // so rising intersect-failures with constant true conflict traffic mean the
-  // bloom bits, not the workload, are the bottleneck.
-  struct FailCounts {
-    std::uint64_t window = 0;     // range wider than kMaxSkipRange
-    std::uint64_t stale = 0;      // tag mismatch: unpublished or recycled slot
-    std::uint64_t intersect = 0;  // bloom hit: possible overlap, must walk
-  };
-
-  void Publish(Word idx, const Bloom128& bloom) {
-    const std::size_t slot = static_cast<std::size_t>(idx & kSlotMask);
-    const Word tag = (idx & 0xffffffffULL) << 32;
-    for (int s = 0; s < kStripes; ++s) {
-      lanes_[s][slot].store(tag | bloom.s[s], std::memory_order_release);
-    }
-  }
-
-  // True iff every commit in (since, upto] published a bloom disjoint from
-  // `read_bloom`. False on any stale tag, intersection, or oversized range.
-  // Stripes where `read_bloom` has no bits are skipped entirely — whatever a
-  // writer published there cannot intersect an empty stripe, and tag freshness
-  // is judged on the stripes actually consulted. (A fully empty read bloom means
-  // an empty — trivially consistent — read set; vacuous success is correct.)
-  //
-  // Tag-wrap bound (pver.h-style documented risk): the publication tag keeps the
-  // low 32 bits of the commit index, so a writer preempted between its counter
-  // bump and its Publish() for EXACTLY 2^32 commits could republish a tag that
-  // matches a current probe index and serve a stale bloom. With a sub-32-entry
-  // probe window that requires a thread to sleep through four billion commits at
-  // precisely the wrap distance; we accept the bound, as with pver's 15-bit
-  // version wrap.
-  bool RangeDisjoint(Word since, Word upto, const Bloom128& read_bloom,
-                     FailCounts* fails) const {
-    if (upto - since > kMaxSkipRange) {
-      ++fails->window;
-      return false;
-    }
-    for (int s = 0; s < kStripes; ++s) {
-      if (read_bloom.s[s] == 0) {
-        continue;
-      }
-      for (Word i = since + 1; i <= upto; ++i) {
-        const Word w = lanes_[s][static_cast<std::size_t>(i & kSlotMask)].load(
-            std::memory_order_acquire);
-        if ((w >> 32) != (i & 0xffffffffULL)) {
-          ++fails->stale;
-          return false;  // not yet published, or already recycled
-        }
-        if ((static_cast<std::uint32_t>(w) & read_bloom.s[s]) != 0) {
-          ++fails->intersect;
-          return false;  // may have written something we read
-        }
-      }
-    }
-    return true;
-  }
-
- private:
-  // Stripe-major: lanes_[s] is the contiguous 64-slot lane of bloom stripe s.
-  std::atomic<Word> lanes_[kStripes][std::size_t{1} << kLog2Slots] = {};
-};
-
 // Per-domain writer summary for orec-based families: the precise commit counter
-// plus the bloom ring. Writers call PublishAndBump() after acquiring all commit
-// locks and validating, BEFORE any data store or orec release (the ordering the
-// soundness argument above depends on). The val layout reaches the same machinery
-// through its ValidationPolicy (GlobalCounterBloomValidation in val_word.h).
+// plus, for partitioned domains, the per-stripe counters. Writers call Bump()
+// after acquiring all commit locks, BEFORE their commit-time validation and any
+// data store or orec release (the ordering the soundness argument above depends
+// on). The val layout reaches the same machinery through its ValidationPolicy
+// (StripedCounterValidation in val_word.h).
 //
 // Summary concept (shared with the ValidationPolicy classes in val_word.h, so
-// StrategyState below can drive either): Sample/Stable/BloomAdvance, plus
-// CommitRangeDisjoint where kHasBloomRing is true.
+// StrategyState below can drive either): Sample/Stable and kPartitioned, plus
+// StripeNow/StripeSampleNow where kPartitioned is true.
 // `kPartitionedCounters` opts the DOMAIN into partitioned NOrec: per-stripe
-// commit counters alongside the precise global counter (which remains the ring
-// publication index and the commit-skip own_idx). Writers then bump ONLY the
+// commit counters alongside the precise global counter (which remains the
+// commit-skip own_idx). Writers then bump ONLY the
 // stripes their write set touches — cache-line-separated, so two committers in
 // disjoint regions no longer exchange a counter line — and bump them BEFORE the
 // global counter, so any commit counted by a global sample already has its
@@ -436,10 +246,9 @@ class WriterRing {
 // EVERY writer bumping stripes; conversely a domain with none should not pay
 // the extra seq-cst RMWs on its commit path (the orec ablation families each
 // own a private domain, so they opt in per family; the val families share one
-// ring domain, which therefore stays partitioned for ValPart's readers).
+// summary domain, which therefore stays partitioned for ValPart's readers).
 template <typename DomainTag, bool kPartitionedCounters = true>
 struct WriterSummary {
-  static constexpr bool kHasBloomRing = true;
   static constexpr bool kPartitioned = kPartitionedCounters;
 
   static std::atomic<Word>& Counter() {
@@ -464,20 +273,6 @@ struct WriterSummary {
     return x;
   }
 
-  static WriterRing& Ring() {
-    static WriterRing* ring = new WriterRing();  // leaked: program-lifetime
-    return *ring;
-  }
-
-  // Per-(thread, domain) ring probe-failure counters — the same pattern as
-  // ValProbe/ClockProbe: plain thread-local integers, zero shared-state cost on
-  // the (contended!) probe-failure paths. Benches read deltas around their
-  // single-threaded probe passes.
-  static WriterRing::FailCounts& Fails() {
-    thread_local WriterRing::FailCounts fails;
-    return fails;
-  }
-
   static Word Sample() { return Counter().load(std::memory_order_seq_cst); }
   static bool Stable(Word sample) { return Sample() == sample; }
 
@@ -493,12 +288,10 @@ struct WriterSummary {
   // bump (see kPartitioned above), and the whole sequence runs while every
   // commit lock is held, before the commit-time validation and the releasing
   // stores — each stripe inherits the global bump-before-validate discipline.
-  static Word PublishAndBump(const Bloom128& write_bloom,
-                             unsigned stripe_mask = kAllCounterStripesMask) {
+  static Word Bump(unsigned stripe_mask = kAllCounterStripesMask) {
     if constexpr (kPartitioned) {
-      // Fault injection (no-ops in production): widen the gaps the ordering
-      // arguments above close — stripe-bumps vs global bump, and the
-      // bump -> ring-publish tail window readers probe through.
+      // Fault injection (no-ops in production): widen the stripe-bumps vs
+      // global-bump gap the ordering argument above closes.
       SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreStripeBump);
       for (int s = 0; s < kCounterStripes; ++s) {
         if ((stripe_mask >> s) & 1u) {
@@ -510,38 +303,11 @@ struct WriterSummary {
     }
     SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreBump);
     const Word idx = Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
-    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreRingPublish);
-    Ring().Publish(idx, write_bloom);
-    // Schedule point (PR 8): entry published, locks still held — the explorer
-    // drives readers through the publish -> release ordering both ways.
-    SPECTM_SCHED_POINT(failpoint::Site::kPostRingPublish);
+    // Bumped, locks still held: a pause site (delay/throw injection) that is
+    // also a schedule point under SPECTM_SCHED, so the explorer drives readers
+    // and crossing committers through the bump -> release window both ways.
+    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
     return idx;
-  }
-
-  // Commit-time bloom pre-filter for a writer that has already bumped at
-  // `own_idx`: the final walk is skippable when every FOREIGN commit in
-  // (sample, own_idx) published a bloom disjoint from `read_bloom`. Own bump is
-  // excluded (a writer may read-then-write the same location); commits after
-  // own_idx validate after this writer's locks are visible and detect the
-  // conflict themselves. The (sample, own_idx - 1] bound is soundness-critical —
-  // this helper is the ONLY place it is written down.
-  static bool CommitRangeDisjoint(Word sample, Word own_idx,
-                                  const Bloom128& read_bloom) {
-    return Ring().RangeDisjoint(sample, own_idx - 1, read_bloom, &Fails());
-  }
-
-  // Bloom pre-filter: advances *sample to the current counter when every
-  // intervening commit's write bloom is disjoint from `read_bloom`.
-  static bool BloomAdvance(Word* sample, const Bloom128& read_bloom) {
-    const Word now = Sample();
-    if (now == *sample) {
-      return true;
-    }
-    if (!Ring().RangeDisjoint(*sample, now, read_bloom, &Fails())) {
-      return false;
-    }
-    *sample = now;
-    return true;
   }
 };
 
@@ -553,14 +319,15 @@ template <typename DomainTag>
 struct ValProbe {
   struct Counters {
     std::uint64_t counter_skips = 0;      // walks avoided by a stable counter
-    std::uint64_t bloom_skips = 0;        // walks avoided by ring disjointness
+    // Always 0: no skip path feeds it any more. Kept only because the stmbench
+    // harness still reads the field; drop both together.
+    std::uint64_t bloom_skips = 0;
     std::uint64_t validation_walks = 0;   // full read-set walks performed
     std::uint64_t strategy_switches = 0;  // attempts started with a new strategy
-    std::uint64_t summary_publishes = 0;  // writer-side bump+publish events
+    std::uint64_t summary_publishes = 0;  // writer-side summary bumps
     // Partitioned-NOrec evidence: walks avoided because every READ-occupied
     // stripe counter was stable; writer-side per-stripe counter bumps; and walks
-    // a kStripe attempt could not avoid even through the ring fallback (i.e.
-    // genuinely same-stripe — at bloom granularity, same-location — traffic).
+    // a kStripe attempt could not avoid (some read-occupied stripe moved).
     std::uint64_t stripe_skips = 0;
     std::uint64_t stripe_bumps = 0;
     std::uint64_t cross_stripe_walks = 0;
@@ -610,10 +377,10 @@ struct ValProbe {
 // previously open-coded in each with small drift; the ROADMAP refactor item).
 // Owns the choose/probe-tick at attempt start, the persistent counter anchor
 // (global sample AND, for partitioned summaries, the per-stripe sample vector),
-// the read bloom + read-stripe mask, and the counter/stripe/bloom/walk skip
-// quartet with its efficacy-EWMA feedback. SummaryT is anything satisfying the
-// summary concept (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT
-// is the family's ValProbe.
+// the read-stripe mask, and the counter/stripe skip ladder with its
+// efficacy-EWMA feedback. SummaryT is anything satisfying the summary concept
+// (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT is the family's
+// ValProbe.
 //
 // The anchor invariant every user maintains: `sample()` (when `sample_valid()`)
 // names a summary-counter value at which the ENTIRE read log was simultaneously
@@ -622,16 +389,14 @@ struct ValProbe {
 // thing one shard at a time (docs/VALIDATION.md carries the per-stripe
 // re-derivation). Anchor() establishes both before the first read of an attempt;
 // tracked walks re-establish them via ConfirmAnchorAfterWalk (tail rule: such
-// walks must cover the whole log). A ring BloomAdvance moves only the GLOBAL
-// anchor — the advanced-past commits bumped stripes the ring does not identify —
-// so it invalidates the stripe anchor until the next full walk. Mutating members
-// are mutable + const because engines call the skip paths from const validation
-// paths (short_tm's ValidateRo).
+// walks must cover the whole log). Mutating members are mutable + const because
+// engines call the skip paths from const validation paths (short_tm's
+// ValidateRo).
 template <typename SummaryT, typename ProbeT>
 class StrategyState {
  public:
   // Outcome of the per-read skip paths: the walk was skipped (stable counter /
-  // stable stripes / disjoint ring range), or the caller must run its walk.
+  // stable stripes), or the caller must run its walk.
   enum class ReadSkip : std::uint8_t { kSkipped, kMustWalk };
 
   // Pre-walk snapshot for tracked walks: the global sample plus (partitioned
@@ -645,12 +410,12 @@ class StrategyState {
 
   // Re-arms for a fresh attempt: pick the strategy from the descriptor EWMAs
   // (hysteretic band edges keyed off the thread's previous steady choice, with
-  // the periodic skip-efficacy probe under kAdaptive), reset the read bloom and
-  // stripe mask, and anchor the persistent sample BEFORE any read (the skip
+  // the periodic skip-efficacy probe under kAdaptive), reset the read-stripe
+  // mask, and anchor the persistent sample BEFORE any read (the skip
   // soundness argument needs the anchor drawn no later than the first read).
-  void StartAttempt(ValMode mode, bool has_bloom_ring, const TxStats& stats) {
+  void StartAttempt(ValMode mode, const TxStats& stats) {
     typename ProbeT::Counters& probe = ProbeT::Get();
-    strat_ = ChooseStrategy(mode, has_bloom_ring, AbortEwmaQ16(stats),
+    strat_ = ChooseStrategy(mode, AbortEwmaQ16(stats),
                             SkipEwmaQ16(stats), probe.has_steady,
                             probe.steady_strategy);
     if constexpr (!SummaryT::kPartitioned) {
@@ -668,7 +433,6 @@ class StrategyState {
       strat_ = ValStrategy::kCounterSkip;  // efficacy probe (see kSkipProbePeriod)
     }
     ProbeT::OnStrategyChosen(strat_);
-    read_bloom_ = Bloom128{};
     read_stripe_mask_ = 0;
     Anchor();
   }
@@ -676,7 +440,6 @@ class StrategyState {
   ValStrategy strategy() const { return strat_; }
   Word sample() const { return sample_; }
   bool sample_valid() const { return sample_valid_; }
-  const Bloom128& read_bloom() const { return read_bloom_; }
   unsigned read_stripe_mask() const { return read_stripe_mask_; }
 
   void Anchor() const {
@@ -694,27 +457,19 @@ class StrategyState {
     }
   }
 
-  // Accumulates a just-read location's signature (bloom/stripe strategies only;
-  // the other strategies never consult it, so the OR would be dead work). Under
-  // kStripe both the bloom (for the ring fallback) and the stripe-occupancy mask
-  // (for the per-stripe skip) are maintained.
+  // Accumulates a just-read location's stripe into the occupancy mask (kStripe
+  // only; the other strategies never consult it, so the OR would be dead work).
   void NoteRead(const void* metadata_word) {
-    if (strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) {
-      read_bloom_ |= AddrBloom128(metadata_word);
-    }
     if (strat_ == ValStrategy::kStripe) {
       read_stripe_mask_ |= 1u << CounterStripeOf(metadata_word);
     }
   }
 
-  // The skip paths, cheapest first: stable global counter, then (partitioned)
-  // stable READ-occupied stripes, then ring disjointness, else walk. The stripe
-  // test is consulted before the ring on purpose (the ISSUE's probe order): a
-  // vector compare against private-ish lines beats scanning ring lanes, and it
-  // keeps working after the read bloom has saturated the ring's filter. Updates
-  // the skip-efficacy EWMA when `ewma_stats` is non-null (per-read call sites
-  // feed the adaptive engine; final-validation call sites pass nullptr, matching
-  // the engines' historical behavior).
+  // The skip ladder, cheapest first: stable global counter, then (partitioned)
+  // stable READ-occupied stripes, else walk. Updates the skip-efficacy EWMA
+  // when `ewma_stats` is non-null (per-read call sites feed the adaptive
+  // engine; final-validation call sites pass nullptr, matching the engines'
+  // historical behavior).
   ReadSkip TrySkipRead(TxStats* ewma_stats) const {
     const bool skippable =
         strat_ != ValStrategy::kIncremental && sample_valid_;
@@ -735,41 +490,26 @@ class StrategyState {
         return ReadSkip::kSkipped;
       }
     }
-    if (skippable &&
-        (strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) &&
-        SummaryT::BloomAdvance(&sample_, read_bloom_)) {
-      // Only the GLOBAL anchor advanced: the commits the ring proved disjoint
-      // bumped stripes the ring does not name, so the stripe vector is stale
-      // until a full walk (or fresh attempt) re-anchors it.
-      if constexpr (SummaryT::kPartitioned) {
-        stripe_valid_ = false;
-      }
-      ++ProbeT::Get().bloom_skips;
-      if (ewma_stats != nullptr) {
-        UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
-      }
-      return ReadSkip::kSkipped;
-    }
     if (strat_ != ValStrategy::kIncremental && ewma_stats != nullptr) {
       UpdateSkipEwma(*ewma_stats, /*skipped=*/false);
     }
     if (strat_ == ValStrategy::kStripe) {
-      ++ProbeT::Get().cross_stripe_walks;  // same-stripe traffic beat every skip
+      ++ProbeT::Get().cross_stripe_walks;  // a read-occupied stripe moved
     }
     return ReadSkip::kMustWalk;
   }
 
-  // Commit-time skip for a writer that has bumped-and-published (bump-before-
+  // Commit-time skip for a writer that has bumped its summary (bump-before-
   // validate; see the crossing-committer note atop this file). `own_idx` is the
   // writer's own commit index, or 0 for policies without one (per-thread counter
   // sums), which fall back to the fresh-sample test — sums count every bump, so
   // anchor+1 still means "exactly my own". `write_stripe_mask` is the stripe
-  // mask this writer passed to PublishAndBump; the partitioned arm expects each
-  // READ-occupied stripe at anchor + own contribution, so a foreign bump of any
+  // mask this writer bumped; the partitioned arm expects each READ-occupied
+  // stripe at anchor + own contribution, so a foreign bump of any
   // stripe guarding a logged location before this writer's own bump is caught,
   // and writers bumping those stripes afterwards validate against this writer's
   // already-visible locks (the per-stripe crossing-committer argument,
-  // docs/VALIDATION.md). The bloom arm exists only where the summary has a ring.
+  // docs/VALIDATION.md).
   bool TrySkipCommit(Word own_idx, unsigned write_stripe_mask = 0) const {
     if (strat_ == ValStrategy::kIncremental || !sample_valid_) {
       return false;
@@ -785,14 +525,6 @@ class StrategyState {
       if (strat_ == ValStrategy::kStripe && stripe_valid_ &&
           StripesUnchangedWithOwn(write_stripe_mask)) {
         ++ProbeT::Get().stripe_skips;
-        return true;
-      }
-    }
-    if constexpr (SummaryT::kHasBloomRing) {
-      if ((strat_ == ValStrategy::kBloom || strat_ == ValStrategy::kStripe) &&
-          own_idx != 0 &&
-          SummaryT::CommitRangeDisjoint(sample_, own_idx, read_bloom_)) {
-        ++ProbeT::Get().bloom_skips;
         return true;
       }
     }
@@ -856,7 +588,7 @@ class StrategyState {
  private:
   // True iff every READ-occupied stripe counter equals its anchor component.
   // An empty mask is vacuously stable (an empty — trivially consistent — read
-  // set, mirroring the empty-read-bloom note on WriterRing::RangeDisjoint).
+  // set).
   bool StripesUnchanged() const {
     for (int s = 0; s < kCounterStripes; ++s) {
       if (((read_stripe_mask_ >> s) & 1u) != 0 &&
@@ -887,7 +619,6 @@ class StrategyState {
 
   mutable Word sample_ = 0;
   mutable StripeSample stripe_sample_;
-  Bloom128 read_bloom_;
   unsigned read_stripe_mask_ = 0;
   ValStrategy strat_ = ValStrategy::kIncremental;
   mutable bool sample_valid_ = false;

@@ -94,7 +94,6 @@ struct OrecLTag {};
 struct TvarGTag {};
 struct TvarLTag {};
 struct OrecGNaiveTag {};
-struct TvarGNaiveTag {};
 
 // Shared orec table + global version clock (Figure 3(a)). The global clock is the
 // GV4 pass-on-failure policy with a thread-local sample cache (clock.h).
@@ -106,22 +105,18 @@ using TvarG = internal::OrecBasedFamily<TvarGTag, TvarLayout, GlobalClockPolicy>
 // Co-located TVar meta-data + per-orec versions.
 using TvarL = internal::OrecBasedFamily<TvarLTag, TvarLayout, LocalClockPolicy>;
 
-// Ablation baselines: the TL2/GV1-style fetch_add clock (every writer commit bumps
-// one shared cache line). Distinct domain tags keep their clocks and orec tables
-// fully isolated from the GV4 families; bench/abl_clock_scale sweeps them against
+// Ablation baseline: the TL2/GV1-style fetch_add clock (every writer commit bumps
+// one shared cache line). A distinct domain tag keeps its clock and orec table
+// fully isolated from the GV4 families; bench/abl_clock_scale sweeps it against
 // the defaults.
 using OrecGNaive = internal::OrecBasedFamily<OrecGNaiveTag, OrecLayout, GlobalClockNaive>;
-using TvarGNaive = internal::OrecBasedFamily<TvarGNaiveTag, TvarLayout, GlobalClockNaive>;
 
-// Orec-table indexing ablations (orec.h OrecStriping): identical engines and
-// clocks, but the shared table maps adjacent addresses to guaranteed-distinct
-// cache lines instead of hash-scattering them. Distinct tags keep the striped
-// tables fully isolated; swept against the hashed defaults in
+// Orec-table indexing ablation (orec.h OrecStriping): identical engine and
+// clock, but the shared table maps adjacent addresses to guaranteed-distinct
+// cache lines instead of hash-scattering them. A distinct tag keeps the striped
+// table fully isolated; swept against the hashed default in
 // bench/abl_readset_layout.
-struct OrecGStripedTag {};
 struct OrecLStripedTag {};
-using OrecGStriped =
-    internal::OrecBasedFamily<OrecGStripedTag, OrecLayoutStriped, GlobalClockPolicy>;
 using OrecLStriped =
     internal::OrecBasedFamily<OrecLStripedTag, OrecLayoutStriped, LocalClockPolicy>;
 
@@ -137,24 +132,21 @@ using OrecGv6 = internal::OrecBasedFamily<OrecGv6Tag, OrecLayout, GlobalClockGv6
 // Adaptive-validation ablations over the local-clock layout — the family whose
 // full-transaction reads pay the O(read-set) per-read revalidation the engine
 // exists to cut. OrecL itself (kPassive: no writer summary at all) is the
-// always-incremental baseline; the fixed strategies measure each mechanism in
-// isolation; the adaptive family switches between them per attempt from the
-// abort-rate EWMA. Swept in bench/abl_adaptive_val.
+// always-incremental baseline; the fixed counter-skip family measures the skip
+// in isolation; the adaptive family switches between the two per attempt from
+// the abort-rate EWMA. Swept in bench/abl_adaptive_val.
 struct OrecLCounterTag {};
-struct OrecLBloomTag {};
 struct OrecLAdaptTag {};
 using OrecLCounterSkip =
     internal::OrecBasedFamily<OrecLCounterTag, OrecLayout, LocalClockPolicy,
                               ValMode::kCounterSkip>;
-using OrecLBloom = internal::OrecBasedFamily<OrecLBloomTag, OrecLayout,
-                                             LocalClockPolicy, ValMode::kBloom>;
 using OrecLAdaptive = internal::OrecBasedFamily<OrecLAdaptTag, OrecLayout,
                                                 LocalClockPolicy, ValMode::kAdaptive>;
 
 // Partitioned NOrec (valstrategy.h kStripe): the precise commit counter sharded
 // into per-address-region stripe counters — writers bump only the stripes their
 // write set touches, readers skip walks when every READ-occupied stripe is
-// stable, and the bloom ring is the fallback for same-stripe traffic. On the
+// stable, and same-stripe traffic forces the walk. On the
 // hash-scattered shared orec table the stripe of an orec is effectively random
 // (wide read sets occupy every stripe), so OrecLPart mainly measures the
 // partition's overhead there; the val-layout ValPart below is where region
@@ -170,33 +162,32 @@ using Val = internal::ValFamilyT<NonReuseValidation>;
 using ValGlobalCounter = internal::ValFamilyT<GlobalCounterValidation>;
 using ValPerThreadCounter = internal::ValFamilyT<PerThreadCounterValidation>;
 
-// Validation-strategy ablations for the val layout, ALL over the bloom-publishing
-// counter policy (val_word.h) so every row of bench/abl_adaptive_val pays the
-// identical writer protocol (bump + ring publish) and the cells differ only in
+// Validation-strategy ablations for the val layout, ALL over the striped counter
+// policy (val_word.h) so every row of bench/abl_adaptive_val pays the identical
+// writer protocol (stripe bumps + global bump) and the cells differ only in
 // reader strategy: fixed incremental (walk every read — the pure
-// summary-maintenance-overhead baseline), fixed counter-skip, fixed bloom, and
-// the EWMA-adaptive engine. ValGlobalCounter above stays on the classic ring-less
+// summary-maintenance-overhead baseline), fixed counter-skip, and the
+// EWMA-adaptive engine. ValGlobalCounter above stays on the classic unstriped
 // Dalessandro counter for the original abl_val_validation comparison.
 using ValIncremental =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kIncremental>;
+    internal::ValFamilyT<StripedCounterValidation, ValMode::kIncremental>;
 using ValCounterSkip =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kCounterSkip>;
-using ValBloom = internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kBloom>;
+    internal::ValFamilyT<StripedCounterValidation, ValMode::kCounterSkip>;
 using ValAdaptive =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kAdaptive>;
+    internal::ValFamilyT<StripedCounterValidation, ValMode::kAdaptive>;
 // Partitioned NOrec over the val layout: metadata IS the data word (§2.4), so the
 // address-region counter stripes inherit the structure's locality — a btree
-// leaf-chain scan occupies few stripes however many ENTRIES it logs, which is
-// exactly where the fixed-width ring bloom saturates (abl_readset_layout's
-// 256-entry intersect-failure row, the ROADMAP item this family closes).
+// leaf-chain scan occupies few stripes however many ENTRIES it logs, so writers
+// elsewhere in the tree leave its anchor alone (abl_readset_layout's range-scan
+// rows).
 using ValPart =
-    internal::ValFamilyT<GlobalCounterBloomValidation, ValMode::kPartitioned>;
+    internal::ValFamilyT<StripedCounterValidation, ValMode::kPartitioned>;
 // MVCC snapshot reads (mvcc.h): the one family whose read-only transactions
 // validate NOTHING — each read is a single traversal of the slot's bounded
 // version chain at a stamp pinned at start, so RO work can neither walk nor
 // abort however hot concurrent writers run. Writers keep the ValPart-style
 // stripe protocol and additionally thread their displaced values onto the
-// chains at commit. SnapshotValidation is GlobalCounterBloomValidation plus
+// chains at commit. SnapshotValidation is StripedCounterValidation plus
 // the kMvcc marker; the commit counter doubles as the version clock.
 using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kSnapshot>;
 

@@ -26,7 +26,7 @@ static_assert(!failpoint::kEnabled, "gate flag out of sync with the macro");
 TEST(Failpoint, DisabledFormCompilesAtEverySite) {
   // PAUSE has no value; it must still reference the site token so an invalid
   // site name fails to compile even in production builds.
-  SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreRingPublish);
+  SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
   SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreStripeBump);
   EXPECT_FALSE(SPECTM_FAILPOINT(failpoint::Site::kPostReadPreSandwich));
   EXPECT_FALSE(SPECTM_FAILPOINT(failpoint::Site::kPreValidate));
@@ -91,15 +91,15 @@ TEST_F(FailpointTest, FixedSeedReplaysTheDecisionStream) {
 
 TEST_F(FailpointTest, DelayOnlySitesCountButNeverAbort) {
   failpoint::ResetHits();
-  failpoint::Arm(failpoint::Site::kPreRingPublish, /*abort_pct=*/0,
+  failpoint::Arm(failpoint::Site::kPostBump, /*abort_pct=*/0,
                  /*delay_pct=*/100, /*delay_spins=*/8);
   for (int i = 0; i < 20; ++i) {
-    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreRingPublish);
+    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
   }
-  EXPECT_EQ(failpoint::Hits(failpoint::Site::kPreRingPublish), 20u);
+  EXPECT_EQ(failpoint::Hits(failpoint::Site::kPostBump), 20u);
   // An abort-style fire at a delay-only site injects the delay but reports no
   // abort.
-  EXPECT_FALSE(SPECTM_FAILPOINT(failpoint::Site::kPreRingPublish));
+  EXPECT_FALSE(SPECTM_FAILPOINT(failpoint::Site::kPostBump));
 }
 
 TEST_F(FailpointTest, SiteNamesAreStable) {

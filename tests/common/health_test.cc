@@ -1,6 +1,6 @@
 // Health watchdog (src/common/health.h): the zero-cost claim for builds without
 // SPECTM_HEALTH, and — when the watchdog is compiled in — storm detection,
-// hysteretic recovery, gate-hold overruns, ring saturation, escalation
+// hysteretic recovery, gate-hold overruns, escalation
 // throttling, and the diagnostics snapshot assembled by the SerialCm
 // integration layer (src/tm/serial.h). Same two-branch shape as
 // failpoint_test.cc: the static_asserts ARE the disabled-build proof.
@@ -30,8 +30,6 @@ static_assert(!health::EscalationThrottled<HealthTestTag>(),
               "disabled throttle must be the constant false");
 static_assert(!health::Degraded<HealthTestTag>(),
               "disabled watchdog can never report degraded");
-static_assert(health::RingGauge<HealthTestTag>() == 0,
-              "disabled ring gauge must be the constant zero");
 static_assert(health::HealthWindow() == health::kHealthWindowDefault,
               "disabled window must be the compile-time default");
 static_assert(health::HealthProbe<HealthTestTag>::Get().samples == 0,
@@ -43,8 +41,6 @@ TEST(Health, DisabledFeedsAreInertNoOps) {
             health::Event::kNone);
   EXPECT_EQ(health::NoteAttemptStart<HealthTestTag>(b, /*foreign=*/true),
             health::Event::kNone);
-  health::SetRingGauge<HealthTestTag>(123);
-  EXPECT_EQ(health::RingGauge<HealthTestTag>(), 0u);
   EXPECT_EQ(b.widening(), 1u) << "a disabled watchdog must never widen backoff";
 }
 
@@ -130,17 +126,6 @@ TEST_F(HealthTest, GateHoldOverrunDegrades) {
             health::Event::kNone);
 }
 
-TEST_F(HealthTest, RingSaturationDegradesEvenWithoutAborts) {
-  health::SetHealthWindow(8);
-  Backoff b;
-  // The cumulative intersect-fail gauge jumps by >= one per window event: the
-  // summary machinery is being defeated, so the window degrades despite every
-  // attempt committing.
-  health::SetRingGauge<HealthTestTag>(64);
-  EXPECT_EQ(FeedWindow(b, 8, 0), health::Event::kDegraded);
-  EXPECT_EQ(health::HealthProbe<HealthTestTag>::Get().ring_saturated_windows, 1u);
-}
-
 TEST_F(HealthTest, SnapshotBuilderEmitsFlatJson) {
   health::SnapshotBuilder b;
   const std::string json = b.Add("commits", 7).Add("aborts", 3).Finish();
@@ -168,7 +153,7 @@ TEST_F(HealthTest, CmIntegrationEmitsSnapshotAndThrottles) {
   EXPECT_NE(snap.find("\"degrade_enters\": 1"), std::string::npos) << snap;
   EXPECT_NE(snap.find("\"backoff_serial\""), std::string::npos) << snap;
   EXPECT_NE(snap.find("\"backoff_seed\""), std::string::npos) << snap;
-  EXPECT_NE(snap.find("\"ring_intersect_fails\""), std::string::npos) << snap;
+  EXPECT_NE(snap.find("\"gate_overruns\""), std::string::npos) << snap;
   EXPECT_EQ(health::HealthProbe<HealthTestTag>::Get().snapshots, 1u);
   // Streak 8 with threshold 1 would escalate — the degraded throttle declines.
   EXPECT_FALSE(Cm::ShouldEscalate(desc));

@@ -1,8 +1,8 @@
 // Adaptive validation engine (valstrategy.h): EWMA tracking, strategy choice and
-// transitions, the writer-summary bloom ring, and the probe-verified hot-path
-// claims — counter skips firing on unchanged-counter RO reads (short and full
-// transactions, orec and val layouts) and bloom skips rescuing stale counters when
-// the intervening write traffic is disjoint.
+// transitions, the writer summary's counter stripes, and the probe-verified
+// hot-path claims — counter skips firing on unchanged-counter RO reads (short and
+// full transactions, orec and val layouts) and stripe skips absorbing write
+// traffic in stripes the read set does not occupy.
 #include "src/tm/valstrategy.h"
 
 #include <gtest/gtest.h>
@@ -33,7 +33,7 @@ TEST(AbortEwma, TracksOutcomesAndDecaysToZero) {
   for (int i = 0; i < 100; ++i) {
     UpdateAbortEwma(stats, /*aborted=*/true);
   }
-  EXPECT_GT(AbortEwmaQ16(stats), kEwmaBloomMaxQ16) << "sustained aborts look contended";
+  EXPECT_GT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16) << "sustained aborts look contended";
 
   // ...and a long abort-free run decays it all the way back to zero (the rounded
   // decrement must not stall at a small residue).
@@ -46,117 +46,36 @@ TEST(AbortEwma, TracksOutcomesAndDecaysToZero) {
 TEST(AbortEwma, SingleAbortDoesNotFlipTheStrategy) {
   TxStats stats;
   UpdateAbortEwma(stats, /*aborted=*/true);
-  // One abort from a cold start: 1/16 of full scale = 4096 Q16 — above the
-  // counter-skip band but below the incremental band.
-  EXPECT_LT(AbortEwmaQ16(stats), kEwmaBloomMaxQ16);
+  // One abort from a cold start: 1/16 of full scale = 4096 Q16 — below the
+  // incremental band.
+  EXPECT_LT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16);
 }
 
 TEST(ChooseStrategy, FixedModesIgnoreTheEwma) {
   for (const std::uint32_t ewma : {0u, 10000u, 65535u}) {
-    EXPECT_EQ(ChooseStrategy(ValMode::kPassive, true, ewma), ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kIncremental, true, ewma),
-              ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, true, ewma),
-              ValStrategy::kCounterSkip);
-    EXPECT_EQ(ChooseStrategy(ValMode::kBloom, true, ewma), ValStrategy::kBloom);
+    EXPECT_EQ(ChooseStrategy(ValMode::kPassive, ewma), ValStrategy::kIncremental);
+    EXPECT_EQ(ChooseStrategy(ValMode::kIncremental, ewma), ValStrategy::kIncremental);
+    EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, ewma), ValStrategy::kCounterSkip);
+    EXPECT_EQ(ChooseStrategy(ValMode::kPartitioned, ewma), ValStrategy::kStripe);
   }
 }
 
-TEST(ChooseStrategy, AdaptiveBandsAndRingClamp) {
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0), ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipMaxQ16 - 1),
+TEST(ChooseStrategy, AdaptiveBands) {
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0), ValStrategy::kCounterSkip);
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16 - 1),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipMaxQ16),
-            ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomMaxQ16 - 1),
-            ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomMaxQ16),
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16),
             ValStrategy::kIncremental);
-  // Without a bloom ring the middle band clamps to counter-skip, never bloom.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, false, kEwmaCounterSkipMaxQ16),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kBloom, false, 0), ValStrategy::kCounterSkip);
 }
 
 TEST(ChooseStrategy, PoorSkipEfficacyFallsBackToIncremental) {
   // When skips stopped paying for themselves, adaptive mode walks regardless of
   // the abort band; fixed modes are unaffected.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaMinQ16 - 1),
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaMinQ16 - 1),
             ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaMinQ16),
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaMinQ16),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, true, 0, 0),
-            ValStrategy::kCounterSkip);
-}
-
-// Stripe-wise complement: a bloom guaranteed disjoint from `b` with bits in
-// every stripe (so the probe consults all four lanes).
-Bloom128 BloomNot(const Bloom128& b) {
-  Bloom128 r;
-  for (int s = 0; s < Bloom128::kStripes; ++s) {
-    r.s[s] = ~b.s[s];
-  }
-  return r;
-}
-
-TEST(WriterRingTest, DisjointAndIntersectingRanges) {
-  WriterRing ring;
-  WriterRing::FailCounts fails;
-  int x = 0, y = 0;
-  const Bloom128 bx = AddrBloom128(&x);
-  const Bloom128 by = AddrBloom128(&y);
-
-  ring.Publish(1, bx);
-  // Reader whose bloom misses bx: skip allowed over (0, 1].
-  EXPECT_TRUE(ring.RangeDisjoint(0, 1, BloomNot(bx), &fails));
-  // Reader whose bloom contains a bit of bx: must walk.
-  EXPECT_FALSE(ring.RangeDisjoint(0, 1, bx, &fails));
-
-  // Unpublished index in the range: must walk (tag mismatch).
-  EXPECT_FALSE(ring.RangeDisjoint(0, 2, BloomNot(bx), &fails));
-
-  ring.Publish(2, by);
-  Bloom128 both = bx;
-  both |= by;
-  EXPECT_TRUE(ring.RangeDisjoint(0, 2, BloomNot(both), &fails));
-
-  // Oversized ranges never skip.
-  EXPECT_FALSE(
-      ring.RangeDisjoint(0, WriterRing::kMaxSkipRange + 1, BloomNot(bx), &fails));
-  EXPECT_EQ(fails.window, 1u);
-
-  // A recycled slot (same slot index, different commit index) fails the tag check.
-  const Word recycled = 1 + (Word{1} << WriterRing::kLog2Slots);
-  ring.Publish(recycled, bx);
-  EXPECT_FALSE(ring.RangeDisjoint(0, 1, BloomNot(bx), &fails))
-      << "slot now carries a newer tag";
-}
-
-// The stripe-skipping probe: a reader with bits in only ONE stripe must still
-// catch an unpublished commit (tag freshness is judged on consulted stripes) and
-// an intersecting one, while genuinely disjoint same-stripe traffic passes.
-TEST(WriterRingTest, SingleStripeProbeStaysSound) {
-  WriterRing ring;
-  WriterRing::FailCounts fails;
-  Bloom128 read;
-  read.s[2] = 1u << 7;  // reader occupies stripe 2 only
-
-  // Unpublished commit in range: stale tag seen through stripe 2's lane.
-  EXPECT_FALSE(ring.RangeDisjoint(0, 1, read, &fails));
-
-  Bloom128 w_other;
-  w_other.s[0] = 1u << 3;  // writer bits entirely in a stripe the reader skips
-  ring.Publish(1, w_other);
-  EXPECT_TRUE(ring.RangeDisjoint(0, 1, read, &fails));
-
-  Bloom128 w_hit;
-  w_hit.s[2] = 1u << 7;  // same stripe, same bit: possible overlap
-  ring.Publish(2, w_hit);
-  EXPECT_FALSE(ring.RangeDisjoint(0, 2, read, &fails));
-
-  // The failure taxonomy classified both failures.
-  EXPECT_GE(fails.stale, 1u);
-  EXPECT_GE(fails.intersect, 1u);
+  EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, 0, 0), ValStrategy::kCounterSkip);
 }
 
 // Acceptance: the short-tx counter skip fires on unchanged-counter RO reads — the
@@ -221,54 +140,13 @@ TEST(CounterSkip, MovedCounterForcesTheWalk) {
   tx.Abort();
 
   EXPECT_GE(Probe::Get().validation_walks, 1u)
-      << "a moved counter with no bloom strategy must walk the prefix";
+      << "a moved counter must walk the prefix";
 }
 
-// Returns a slot (out of `pool`) whose orec bloom is disjoint from `read_bloom`,
-// so bloom-skip tests are deterministic under ASLR (hash bits depend on addresses).
-template <typename Family, std::size_t N>
-typename Family::Slot* FindBloomDisjointSlot(typename Family::Slot (&pool)[N],
-                                             const Bloom128& read_bloom) {
-  for (auto& s : pool) {
-    if (!AddrBloom128(&Family::Layout::OrecOf(s)).Intersects(read_bloom)) {
-      return &s;
-    }
-  }
-  return nullptr;
-}
-
-// Bloom strategy: a writer that commits to locations DISJOINT from the read set
-// moves the counter but must not force a walk — the ring pre-filter skips it.
-TEST(BloomSkip, DisjointWriterTrafficSkipsTheWalk) {
-  using F = OrecLBloom;
-  using Probe = ValProbe<OrecLBloomTag>;
-  static F::Slot a, b;
-  static F::Slot pool[64];
-  F::SingleWrite(&a, EncodeInt(1));
-  F::SingleWrite(&b, EncodeInt(2));
-
-  Bloom128 read_bloom = AddrBloom128(&F::Layout::OrecOf(a));
-  read_bloom |= AddrBloom128(&F::Layout::OrecOf(b));
-  F::Slot* disjoint = FindBloomDisjointSlot<F>(pool, read_bloom);
-  ASSERT_NE(disjoint, nullptr) << "64 candidates always contain a disjoint bloom";
-
-  Probe::Reset();
-  F::ShortTx tx;
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&a)), 1u);
-  F::SingleWrite(disjoint, EncodeInt(7));  // moves the counter, disjoint bloom
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&b)), 2u);
-  EXPECT_TRUE(tx.Valid());
-  tx.Abort();
-
-  EXPECT_GE(Probe::Get().bloom_skips, 1u)
-      << "disjoint intervening commit must be absorbed by the ring pre-filter";
-  EXPECT_EQ(Probe::Get().validation_walks, 0u);
-}
-
-// Bloom strategy, overlap case: a writer that DOES hit the read set must be
-// caught — the skip may not fire and the transaction must invalidate.
-TEST(BloomSkip, OverlappingWriterIsDetected) {
-  using F = OrecLBloom;
+// Overlap case: a writer that DOES hit the read set must be caught — the skip
+// may not fire and the transaction must invalidate.
+TEST(CounterSkip, OverlappingWriterIsDetected) {
+  using F = OrecLCounterSkip;
   static F::Slot a, b;
   F::SingleWrite(&a, EncodeInt(1));
   F::SingleWrite(&b, EncodeInt(2));
@@ -331,20 +209,8 @@ TEST(AdaptiveStrategy, EwmaDrivesStrategyTransitions) {
   }
   EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
 
-  // Phase 2: moderate abort pressure -> bloom.
-  while (AbortEwmaQ16(stats) < kEwmaCounterSkipMaxQ16) {
-    UpdateAbortEwma(stats, true);
-  }
-  ASSERT_LT(AbortEwmaQ16(stats), kEwmaBloomMaxQ16);
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-  }
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom);
-
-  // Phase 3: heavy abort pressure -> incremental.
-  while (AbortEwmaQ16(stats) < kEwmaBloomMaxQ16) {
+  // Phase 2: heavy abort pressure -> incremental.
+  while (AbortEwmaQ16(stats) < kEwmaWalkEnterQ16) {
     UpdateAbortEwma(stats, true);
   }
   {
@@ -354,10 +220,10 @@ TEST(AdaptiveStrategy, EwmaDrivesStrategyTransitions) {
   }
   EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kIncremental);
 
-  EXPECT_GE(Probe::Get().strategy_switches, 2u)
-      << "the probe must have recorded both band crossings";
+  EXPECT_GE(Probe::Get().strategy_switches, 1u)
+      << "the probe must have recorded the band crossing";
 
-  // Phase 4: pressure subsides -> back to counter-skip (full transactions pick the
+  // Phase 3: pressure subsides -> back to counter-skip (full transactions pick the
   // strategy at Start() the same way).
   while (AbortEwmaQ16(stats) != 0) {
     UpdateAbortEwma(stats, false);
@@ -368,7 +234,7 @@ TEST(AdaptiveStrategy, EwmaDrivesStrategyTransitions) {
     tx.Read(&a);
   } while (!tx.Commit());
   EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
-  EXPECT_GE(Probe::Get().strategy_switches, 3u);
+  EXPECT_GE(Probe::Get().strategy_switches, 2u);
 }
 
 // The val layout's adaptive engine takes the same decisions through its
@@ -461,12 +327,11 @@ TEST(AdaptiveStrategy, PoorEfficacyDecaysToIncrementalAndProbesBack) {
   }
 }
 
-// Multi-threaded sanity for the bloom ring under real concurrency: disjoint-slot
-// writers churn while RO pairs are read; pairs must stay consistent and at least
-// some reads should be absorbed by skips. (The heavyweight cross-family battery
-// lives in concurrency_test.cc, which includes the new families.)
-TEST(BloomSkip, ConcurrentDisjointChurnKeepsPairsConsistent) {
-  using F = OrecLBloom;
+// Multi-threaded sanity for the stripe skip under real concurrency: disjoint-slot
+// writers churn while RO pairs are read; pairs must stay consistent. (The
+// heavyweight cross-family battery lives in concurrency_test.cc.)
+TEST(PartitionedSkip, ConcurrentDisjointChurnKeepsPairsConsistent) {
+  using F = OrecLPart;
   static F::Slot pair_a, pair_b;
   static F::Slot churn[8];
   F::SingleWrite(&pair_a, EncodeInt(0));
@@ -560,16 +425,8 @@ void RunLinkedSetBalanceCheck(std::uint64_t seed) {
          "skipped validation past a crossing committer (lost unlink/insert)";
 }
 
-TEST(CommitSkipProtocol, LinkedSetBalanceOrecLBloom) {
-  RunLinkedSetBalanceCheck<OrecLBloom>(0xb100f);
-}
-
 TEST(CommitSkipProtocol, LinkedSetBalanceOrecLCounterSkip) {
   RunLinkedSetBalanceCheck<OrecLCounterSkip>(0xc075);
-}
-
-TEST(CommitSkipProtocol, LinkedSetBalanceValBloom) {
-  RunLinkedSetBalanceCheck<ValBloom>(0x7a1b);
 }
 
 TEST(CommitSkipProtocol, LinkedSetBalanceValAdaptive) {
@@ -592,15 +449,14 @@ TEST(CommitSkipProtocol, LinkedSetBalanceValPart) {
 
 // --- Partitioned NOrec: per-stripe counters -------------------------------------
 
-// The sharded bump: PublishAndBump moves exactly the masked stripe counters plus
-// the global counter (the ring index / own_idx), nothing else.
+// The sharded bump: Bump moves exactly the masked stripe counters plus the
+// global counter (the own_idx), nothing else.
 TEST(PartitionedSkip, StripeCountersShardTheBump) {
   struct StripeUnitTag {};
   using S = WriterSummary<StripeUnitTag>;
   const StripeSample before = S::StripeSampleNow();
   const Word global_before = S::Sample();
-  int anchor_obj = 0;
-  const Word own_idx = S::PublishAndBump(AddrBloom128(&anchor_obj), 0b0101u);
+  const Word own_idx = S::Bump(0b0101u);
   EXPECT_EQ(own_idx, global_before + 1);
   EXPECT_EQ(S::StripeNow(0), before.v[0] + 1);
   EXPECT_EQ(S::StripeNow(1), before.v[1]);
@@ -623,8 +479,7 @@ ValSlot* FindStripeDisjointValSlot(ValSlot (&pool)[N], unsigned occupied_mask) {
 }
 
 // Acceptance: disjoint-STRIPE writer traffic moves the global counter but not
-// the reader's occupied stripes — the partitioned skip fires with zero walks and
-// without ever consulting the ring.
+// the reader's occupied stripes — the partitioned skip fires with zero walks.
 TEST(PartitionedSkip, DisjointStripeChurnSkipsWithoutWalks) {
   using F = ValPart;
   using Probe = ValProbe<ValDomainTag>;
@@ -686,24 +541,21 @@ TEST(PartitionedSkip, OrecLayoutDisjointStripeChurnSkips) {
   EXPECT_EQ(Probe::Get().validation_walks, 0u);
 }
 
-// Same-stripe but bloom-disjoint traffic: the stripe vector cannot prove
-// anything (an occupied stripe moved), so the engine must fall back to the ring
-// — which still absorbs the walk because the churn bloom misses the read bloom.
-TEST(PartitionedSkip, SameStripeDisjointTrafficFallsBackToRing) {
+// Same-stripe traffic to a slot outside the read set: the stripe vector cannot
+// prove anything (an occupied stripe moved), so the engine must walk — and the
+// walk finds the read set intact, so the transaction stays valid.
+TEST(PartitionedSkip, SameStripeTrafficForcesTheWalk) {
   using F = ValPart;
   using Probe = ValProbe<ValDomainTag>;
   static F::Slot pair_a, pair_b;
   static F::Slot pool[4096];
   F::SingleWrite(&pair_a, EncodeInt(1));
   F::SingleWrite(&pair_b, EncodeInt(2));
-  Bloom128 read_bloom = AddrBloom128(&pair_a.word);
-  read_bloom |= AddrBloom128(&pair_b.word);
   const unsigned occupied =
       (1u << CounterStripeOf(&pair_a.word)) | (1u << CounterStripeOf(&pair_b.word));
   F::Slot* churn = nullptr;
   for (auto& s : pool) {
-    if (((occupied >> CounterStripeOf(&s.word)) & 1u) != 0 &&
-        !AddrBloom128(&s.word).Intersects(read_bloom)) {
+    if (((occupied >> CounterStripeOf(&s.word)) & 1u) != 0) {
       churn = &s;
       break;
     }
@@ -713,20 +565,20 @@ TEST(PartitionedSkip, SameStripeDisjointTrafficFallsBackToRing) {
   Probe::Reset();
   F::ShortTx tx;
   EXPECT_EQ(DecodeInt(tx.ReadRo(&pair_a)), 1u);
-  F::SingleWrite(churn, EncodeInt(5));  // moves an OCCUPIED stripe, disjoint bloom
+  F::SingleWrite(churn, EncodeInt(5));  // moves an OCCUPIED stripe
   EXPECT_EQ(DecodeInt(tx.ReadRo(&pair_b)), 2u);
   EXPECT_TRUE(tx.Valid());
   tx.Abort();
 
   EXPECT_EQ(Probe::Get().stripe_skips, 0u)
       << "a moved occupied stripe must not stripe-skip";
-  EXPECT_GE(Probe::Get().bloom_skips, 1u) << "the ring is the fallback";
-  EXPECT_EQ(Probe::Get().validation_walks, 0u);
+  EXPECT_GE(Probe::Get().cross_stripe_walks, 1u);
+  EXPECT_GE(Probe::Get().validation_walks, 1u);
 }
 
 // Correctness under the partitioned family: a write that actually hits the read
-// set must still invalidate the reader (stripe check fails, ring intersects, the
-// walk sees the changed value).
+// set must still invalidate the reader (stripe check fails, the walk sees the
+// changed value).
 TEST(PartitionedSkip, SameLocationWriteIsDetected) {
   using F = ValPart;
   static F::Slot pair_a, pair_b;
@@ -772,52 +624,45 @@ TEST(PartitionedSkip, CommitSkipSurvivesDisjointStripeTraffic) {
 
 // --- Strategy-band hysteresis (the GV6 enter/exit dead-band pattern) ------------
 
-TEST(ChooseStrategy, AbortBandEdgesAreHysteretic) {
-  const std::uint32_t lower_band =
-      (kEwmaCounterSkipExitQ16 + kEwmaCounterSkipMaxQ16) / 2;
-  // Inside the counter-skip/bloom dead band the previous choice sticks — the
-  // single-threshold design flipped here on every EWMA wiggle.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, lower_band, 65536u,
+TEST(ChooseStrategy, AbortBandEdgeIsHysteretic) {
+  const std::uint32_t in_band = (kEwmaWalkExitQ16 + kEwmaWalkEnterQ16) / 2;
+  // Inside the dead band the previous choice sticks — a single threshold would
+  // flip here on every EWMA wiggle.
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, in_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kCounterSkip),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, lower_band, 65536u,
-                           /*has_prev=*/true, ValStrategy::kBloom),
-            ValStrategy::kBloom);
-  // Leaving through the exit edge flips back.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaCounterSkipExitQ16 - 1,
-                           65536u, /*has_prev=*/true, ValStrategy::kBloom),
-            ValStrategy::kCounterSkip);
-  // Upper (bloom/incremental) band behaves the same way.
-  const std::uint32_t upper_band = (kEwmaBloomExitQ16 + kEwmaBloomMaxQ16) / 2;
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, upper_band, 65536u,
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, in_band, 65536u,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, upper_band, 65536u,
-                           /*has_prev=*/true, ValStrategy::kBloom),
-            ValStrategy::kBloom);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, kEwmaBloomExitQ16 - 1, 65536u,
+  // Crossing the enter edge walks; leaving through the exit edge skips again.
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16, 65536u,
+                           /*has_prev=*/true, ValStrategy::kCounterSkip),
+            ValStrategy::kIncremental);
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkExitQ16 - 1, 65536u,
                            /*has_prev=*/true, ValStrategy::kIncremental),
-            ValStrategy::kBloom);
+            ValStrategy::kCounterSkip);
 }
 
 TEST(ChooseStrategy, SkipEfficacyRecoveryIsHysteretic) {
   const std::uint32_t in_band = (kSkipEwmaMinQ16 + kSkipEwmaRecoverQ16) / 2;
   // A thread that fell back to walking needs the RECOVER threshold to resume...
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, in_band,
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, in_band,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kIncremental);
   // ...while a thread still skipping keeps skipping at the same efficacy.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, in_band,
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, in_band,
                            /*has_prev=*/true, ValStrategy::kCounterSkip),
             ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, true, 0, kSkipEwmaRecoverQ16,
+  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaRecoverQ16,
                            /*has_prev=*/true, ValStrategy::kIncremental),
             ValStrategy::kCounterSkip);
 }
 
 // End-to-end flap regression, mirroring clock_gv56_test's DeadBandDoesNotFlap:
-// an abort EWMA wiggling INSIDE the dead band must not alternate the strategy
-// attempts start with; leaving the band through the exit edge flips exactly once.
+// an abort EWMA wiggling INSIDE the dead band must not change the steady
+// strategy attempts start with; leaving the band through the exit edge flips it
+// exactly once. The steady choice is read instead of last_strategy because
+// walking attempts still run a skip probe every kSkipProbePeriod attempts.
 TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
   using F = OrecLAdaptive;
   using Probe = ValProbe<OrecLAdaptTag>;
@@ -826,8 +671,8 @@ TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
   TxStats& stats = DescOf<OrecLAdaptTag>().stats;
   stats.skip_ewma_q16.store(65536u);  // isolate the abort-band signal
 
-  // Rise through the enter edge: attempts settle on bloom.
-  while (AbortEwmaQ16(stats) < kEwmaCounterSkipMaxQ16) {
+  // Rise through the enter edge: attempts settle on incremental.
+  while (AbortEwmaQ16(stats) < kEwmaWalkEnterQ16) {
     UpdateAbortEwma(stats, true);
   }
   {
@@ -835,37 +680,30 @@ TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
     tx.ReadRo(&a);
     tx.Abort();
   }
-  ASSERT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom);
+  ASSERT_EQ(Probe::Get().steady_strategy, ValStrategy::kIncremental);
 
-  const std::uint64_t switches_before = Probe::Get().strategy_switches;
-  const std::uint32_t mid =
-      (kEwmaCounterSkipExitQ16 + kEwmaCounterSkipMaxQ16) / 2;
+  const std::uint32_t mid = (kEwmaWalkExitQ16 + kEwmaWalkEnterQ16) / 2;
   for (int i = 0; i < 64; ++i) {
-    // Wiggle around the old single threshold's position (today's enter edge sits
-    // where the memoryless band edge sat): alternating values inside the band —
-    // the memoryless chooser alternated strategies on every such wiggle.
     const std::uint32_t wiggle = mid + (i % 2 == 0 ? -64 : +64);
     stats.abort_ewma_q16.store(wiggle, std::memory_order_relaxed);
-    ASSERT_GE(AbortEwmaQ16(stats), kEwmaCounterSkipExitQ16);
-    ASSERT_LT(AbortEwmaQ16(stats), kEwmaCounterSkipMaxQ16);
+    ASSERT_GE(AbortEwmaQ16(stats), kEwmaWalkExitQ16);
+    ASSERT_LT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16);
     F::ShortTx tx;
     tx.ReadRo(&a);  // pure-RO attempt: its Abort() leaves the EWMA untouched
     tx.Abort();
-    EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kBloom)
+    EXPECT_EQ(Probe::Get().steady_strategy, ValStrategy::kIncremental)
         << "in-band wiggling must never flip the strategy";
   }
-  EXPECT_EQ(Probe::Get().strategy_switches, switches_before);
 
-  // Falling through the exit edge finally flips, once.
-  stats.abort_ewma_q16.store(kEwmaCounterSkipExitQ16 - 1,
-                             std::memory_order_relaxed);
+  // Falling through the exit edge finally flips.
+  stats.abort_ewma_q16.store(kEwmaWalkExitQ16 - 1, std::memory_order_relaxed);
   {
     F::ShortTx tx;
     tx.ReadRo(&a);
     tx.Abort();
   }
+  EXPECT_EQ(Probe::Get().steady_strategy, ValStrategy::kCounterSkip);
   EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
-  EXPECT_EQ(Probe::Get().strategy_switches, switches_before + 1);
 }
 
 }  // namespace

@@ -24,12 +24,12 @@ class TmConcurrency : public ::testing::Test {};
 
 // The list includes the PR-2 additions: the GV5/GV6 clock families (shared
 // non-unique timestamps + reader-side clock catch-up under real races) and the
-// adaptive/bloom validation families over both layouts (writer-summary publication
-// racing counter-skip/bloom-skip readers). All of it runs under TSan in CI.
+// adaptive/partitioned validation families over both layouts (writer-summary
+// bumps racing counter-skip/stripe-skip readers). All of it runs under TSan in CI.
 using AllFamilies =
     ::testing::Types<OrecG, OrecL, TvarG, TvarL, Val, ValGlobalCounter,
                      ValPerThreadCounter, Pver, ValEager, OrecGv5, OrecGv6,
-                     OrecLBloom, OrecLAdaptive, ValBloom, ValAdaptive>;
+                     OrecLPart, OrecLAdaptive, ValPart, ValAdaptive>;
 TYPED_TEST_SUITE(TmConcurrency, AllFamilies);
 
 // No lost updates: every committed full transaction's increment must survive.

@@ -247,19 +247,19 @@ TEST_F(ExceptionSafetyTest, FullOrecThrowEverySite) {
 
 // The publication sites are pause-style (locks held, counters mid-bump): a
 // throw there is the harshest unwind of all and must still restore every lock
-// through the commit guard. The bloom/partitioned families are the ones whose
-// commit actually runs the publication sequence.
+// through the commit guard. The counter-skip/partitioned families are the ones
+// whose commit actually runs the publication sequence.
 TEST_F(ExceptionSafetyTest, FullOrecThrowInsidePublication) {
-  FullThrowAtSite<OrecLBloom>(Site::kPreBump);
-  FullThrowAtSite<OrecLBloom>(Site::kPreRingPublish);
+  FullThrowAtSite<OrecLCounterSkip>(Site::kPreBump);
+  FullThrowAtSite<OrecLCounterSkip>(Site::kPostBump);
   FullThrowAtSite<OrecLPart>(Site::kPreStripeBump);
 }
 
 TEST_F(ExceptionSafetyTest, FullValThrowEverySite) {
   FullThrowAtSite<Val>(Site::kPreValidate);
   FullThrowAtSite<Val>(Site::kLockAcquire);
-  FullThrowAtSite<ValBloom>(Site::kPreBump);
-  FullThrowAtSite<ValBloom>(Site::kPreRingPublish);
+  FullThrowAtSite<ValPart>(Site::kPreBump);
+  FullThrowAtSite<ValPart>(Site::kPostBump);
   FullThrowAtSite<ValPart>(Site::kPreStripeBump);
 }
 
@@ -410,13 +410,9 @@ TEST_F(ExceptionSafetyTest, EveryPlantedSiteActuallyFires) {
       }
     }));
   }
-  // Publication sequence: counter bump, ring publish, the post-publish tail
-  // (bloom family), and the per-stripe bumps (partitioned family).
+  // Publication sequence: the per-stripe bumps, the counter bump and the
+  // post-bump window (partitioned family).
   {
-    ValBloom::Slot s;
-    ValBloom::SingleWrite(&s, EncodeInt(1));
-    EXPECT_TRUE(ValBloom::Full::Atomically(
-        [&](ValBloom::FullTx& tx) { tx.Write(&s, EncodeInt(2)); }));
     ValPart::Slot p;
     ValPart::SingleWrite(&p, EncodeInt(1));
     EXPECT_TRUE(ValPart::Full::Atomically(

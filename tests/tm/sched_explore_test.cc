@@ -1,7 +1,8 @@
 // Systematic interleaving exploration of the commit protocols
 // (src/common/sched.h over the PR 6/7 fail-point plants): bounded exhaustive
 // enumeration of the two-thread crossing-committers commit window for all
-// four engines (OrecL/Val x full/short) asserting the balance invariant on
+// four engines (OrecL/Val x full/short, plus the summary-running ValPart and
+// OrecLCounterSkip families) asserting the balance invariant on
 // EVERY explored schedule, exhaustive exploration of the serial-gate drain,
 // byte-identical replay with identical probe counters, and a planted-bug
 // canary — a validate-before-bump mini-TM (the PR-2 skew, resurrected in
@@ -95,13 +96,12 @@ std::function<void()> ShortCrossingBody(typename Family::Slot* a,
   };
 }
 
-// Runs the bounded exhaustive exploration for one engine/shape and asserts
-// the balance invariant held on every schedule.
+// Runs the bounded exhaustive exploration for one engine/shape over the slot
+// pair (a, b) and asserts the balance invariant held on every schedule. The
+// slots must live across all schedules; values reset per run.
 template <typename Family>
-void ExploreCrossingWindow(bool short_shape) {
-  // Slots and their storage live across all schedules; values reset per run.
-  auto* a = new typename Family::Slot();
-  auto* b = new typename Family::Slot();
+void ExploreCrossingWindow(bool short_shape, typename Family::Slot* a,
+                           typename Family::Slot* b) {
   auto make_bodies = [&]() {
     Family::SingleWrite(a, EncodeInt(0));
     Family::SingleWrite(b, EncodeInt(0));
@@ -138,6 +138,40 @@ void ExploreCrossingWindow(bool short_shape) {
   EXPECT_EQ(outcomes.size(), 2u);
 }
 
+template <typename Family>
+void ExploreCrossingWindow(bool short_shape) {
+  static typename Family::Slot a, b;
+  ExploreCrossingWindow<Family>(short_shape, &a, &b);
+}
+
+// A pair of val slots whose words share one counter stripe (`same_stripe`), or
+// sit exactly one stripe region apart and so on two neighbouring stripes. The
+// pool is static: it must outlive every explored schedule.
+std::pair<ValSlot*, ValSlot*> ValSlotPair(bool same_stripe) {
+  constexpr std::size_t kRegion = std::size_t{1} << kCounterStripeShift;
+  static_assert(kRegion % sizeof(ValSlot) == 0, "slots must tile a region");
+  constexpr std::size_t kStride = kRegion / sizeof(ValSlot);
+  static ValSlot pool[kStride + 2];
+  if (!same_stripe) {
+    return {&pool[0], &pool[kStride]};
+  }
+  std::size_t i = 0;
+  while (CounterStripeOf(&pool[i].word) != CounterStripeOf(&pool[i + 1].word)) {
+    ++i;
+  }
+  return {&pool[i], &pool[i + 1]};
+}
+
+// The partitioned family runs both skip arms of the commit (counter, then
+// per-stripe): with both slots on one stripe a crossing committer moves the
+// stripe the reader occupies; with them on two stripes each committer's own
+// write stripe is one the other reads.
+void ExplorePartitionedCrossingWindow(bool short_shape, bool same_stripe) {
+  const auto [a, b] = ValSlotPair(same_stripe);
+  ASSERT_EQ(CounterStripeOf(&a->word) == CounterStripeOf(&b->word), same_stripe);
+  ExploreCrossingWindow<ValPart>(short_shape, a, b);
+}
+
 TEST(SchedExploreEngines, OrecFullCrossingCommitWindow) {
   ExploreCrossingWindow<OrecL>(/*short_shape=*/false);
 }
@@ -152,6 +186,26 @@ TEST(SchedExploreEngines, OrecShortCrossingCommitWindow) {
 
 TEST(SchedExploreEngines, ValShortCrossingCommitWindow) {
   ExploreCrossingWindow<Val>(/*short_shape=*/true);
+}
+
+TEST(SchedExploreEngines, PartFullCrossingCommitWindowOneStripe) {
+  ExplorePartitionedCrossingWindow(/*short_shape=*/false, /*same_stripe=*/true);
+}
+
+TEST(SchedExploreEngines, PartFullCrossingCommitWindowTwoStripes) {
+  ExplorePartitionedCrossingWindow(/*short_shape=*/false, /*same_stripe=*/false);
+}
+
+TEST(SchedExploreEngines, PartShortCrossingCommitWindowOneStripe) {
+  ExplorePartitionedCrossingWindow(/*short_shape=*/true, /*same_stripe=*/true);
+}
+
+TEST(SchedExploreEngines, PartShortCrossingCommitWindowTwoStripes) {
+  ExplorePartitionedCrossingWindow(/*short_shape=*/true, /*same_stripe=*/false);
+}
+
+TEST(SchedExploreEngines, OrecCounterSkipFullCrossingCommitWindow) {
+  ExploreCrossingWindow<OrecLCounterSkip>(/*short_shape=*/false);
 }
 
 // ---- The serial-gate drain ---------------------------------------------------------

@@ -138,7 +138,7 @@ TEST_F(TortureTest, ForcedAbortScheduleKeepsBalance) {
 
 // Scheduler-driven publication windows: under SPECTM_SCHED the cooperative
 // controller OWNS the interleaving — every planted site, including the
-// stripe-bump -> counter-bump -> ring-publish sequence, is a schedule point
+// stripe-bump -> counter-bump -> post-bump sequence, is a schedule point
 // where the seeded random walk can park a committer mid-publication and run
 // every other worker through the half-published window. Unlike the spin-delay
 // variant below this needs no second core to interleave (the PR 6 caveat) and
@@ -185,14 +185,14 @@ TEST_F(TortureTest, PublicationWindowScheduleKeepsBalance) {
   bool truncated = false;
   EXPECT_EQ(RunSchedTortureBalance<ValPart>(0x7243, kWorkers, 300, &truncated), 0);
   EXPECT_FALSE(truncated) << "the run hit the point cap (livelocked schedule?)";
-  EXPECT_EQ(RunSchedTortureBalance<OrecLBloom>(0x7244, kWorkers, 300, &truncated), 0);
+  EXPECT_EQ(RunSchedTortureBalance<OrecLPart>(0x7244, kWorkers, 300, &truncated), 0);
   EXPECT_FALSE(truncated) << "the run hit the point cap (livelocked schedule?)";
 }
 
 #else  // !SPECTM_SCHED
 
 // Delay injection inside the publication sequence (stripe bumps -> counter
-// bump -> ring publish): widens exactly the tail/crossing-committer windows
+// bump -> post-bump window): widens exactly the tail/crossing-committer windows
 // the bump-before-validate discipline (docs/VALIDATION.md) must cover.
 // Spin delays, NOT yields: the pauses run while commit locks are held, and on
 // a single-core host a yielding lock holder hands its whole quantum to peers
@@ -207,10 +207,10 @@ TEST_F(TortureTest, PublicationDelayScheduleKeepsBalance) {
                  /*delay_pct=*/25, /*delay_spins=*/400);
   failpoint::Arm(failpoint::Site::kPreBump, /*abort_pct=*/0,
                  /*delay_pct=*/25, /*delay_spins=*/400);
-  failpoint::Arm(failpoint::Site::kPreRingPublish, /*abort_pct=*/0,
+  failpoint::Arm(failpoint::Site::kPostBump, /*abort_pct=*/0,
                  /*delay_pct=*/25, /*delay_spins=*/400);
   EXPECT_EQ(RunTortureBalance<ValPart>(0x7243).balance_delta, 0);
-  EXPECT_EQ(RunTortureBalance<OrecLBloom>(0x7244).balance_delta, 0);
+  EXPECT_EQ(RunTortureBalance<OrecLPart>(0x7244).balance_delta, 0);
 }
 
 #endif  // SPECTM_SCHED

@@ -135,10 +135,10 @@ TEST(ValPolicies, PerThreadCountersKeepPairsConsistentUnderValueRecycling) {
 // three special cases; this test documents that they are at least as strong.
 TEST(ValPolicies, NonReuseSafeWhenWritersLockEverything) { RunAbaChurn<Val>(); }
 
-// The bloom-ring policy and the adaptive engine must be exactly as strong as the
+// The partitioned policy and the adaptive engine must be exactly as strong as the
 // plain counter under value recycling — skips may only fire when provably safe.
-TEST(ValPolicies, BloomRingKeepsPairsConsistentUnderValueRecycling) {
-  RunAbaChurn<ValBloom>();
+TEST(ValPolicies, PartitionedKeepsPairsConsistentUnderValueRecycling) {
+  RunAbaChurn<ValPart>();
 }
 
 TEST(ValPolicies, AdaptiveEngineKeepsPairsConsistentUnderValueRecycling) {
