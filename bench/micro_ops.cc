@@ -175,8 +175,8 @@ bool Run(const std::string& json_path) {
 }  // namespace spectm
 
 int main(int argc, char** argv) {
-  // No JSON by default: micro-op numbers are not part of the checked-in perf
-  // trajectory; pass --json (or SPECTM_BENCH_JSON) to emit them.
+  // No JSON by default; pass --json (or SPECTM_BENCH_JSON) to emit the
+  // per-primitive rows (BENCH_micro_ops.json is the committed baseline).
   const std::string json_path = spectm::JsonPathFromArgs(argc, argv, "");
   return spectm::Run(json_path) ? 0 : 1;
 }

@@ -47,6 +47,12 @@ inline void CpuRelax() {
 #endif
 }
 
+// Prefetch hints: start pulling the line holding `p` toward L1 so a later
+// access finds it cached. PrefetchForWrite asks for the line exclusive, for
+// words about to be CAS-locked or stored. Neither has any semantic effect.
+inline void Prefetch(const void* p) { __builtin_prefetch(p, 0, 3); }
+inline void PrefetchForWrite(const void* p) { __builtin_prefetch(p, 1, 3); }
+
 }  // namespace spectm
 
 #endif  // SPECTM_COMMON_CACHELINE_H_

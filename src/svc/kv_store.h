@@ -20,6 +20,17 @@
 // placement-blind); the store still works, it just measures the partition's
 // overhead there, mirroring the OrecLPart caveat in variants.h.
 //
+// Batch shape: locate, then read. Every read path runs its batch in two phases
+// inside the one transaction: LocateAll walks every key's bucket chain first,
+// then one tight loop reads (and, for BatchUpdate, writes) the value words in
+// key order. The value reads — the words writers actually contend on — are
+// thus logged last and stay exposed to conflicts only for that short second
+// phase, instead of from the first key's read to the end of the batch (the
+// paper's keep-the-transactional-window-small argument, §2.2). Each phase
+// prefetches a fixed distance ahead: bucket heads while locating, value slots
+// while reading. Only the order of the transactional reads changes; every
+// access is still a tx.Read/tx.Write of the same transaction.
+//
 // Deletion is tombstone-free by omission: embedding-table workloads are
 // get/put/scan-shaped and grow-only, so the store never unlinks nodes — which
 // keeps batch retry trivially exception-safe (an aborted attempt's private
@@ -33,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <type_traits>
@@ -91,11 +103,13 @@ class StripePagePool {
   std::vector<void*> free_[kCounterStripes];
 };
 
-// Per-key hook for deterministic probe passes: invoked after each key's work
-// inside the batch transaction, so tests and benches can interleave single-op
-// churn INSIDE the batch window (the RunScanCell idiom from
-// bench/abl_readset_layout.cc, lifted to the service API). Empty by default
-// and never on the path of a real request loop.
+// Per-key hook for deterministic probe passes: invoked inside the batch
+// transaction, so tests and benches can interleave single-op churn INSIDE the
+// batch window (the RunScanCell idiom from bench/abl_readset_layout.cc, lifted
+// to the service API). On the read paths (BatchGet, BatchScan, BatchUpdate)
+// hook(i) runs right after key i's value read (and write), once every key's
+// chain walk is done; on BatchPut it runs after key i's find-or-insert. Empty
+// by default and never on the path of a real request loop.
 using BatchHook = std::function<void(std::size_t)>;
 
 template <typename Family>
@@ -176,30 +190,12 @@ class KvStore {
   // the caller only wants the read traffic (probe passes).
   void BatchGet(const std::uint64_t* keys, std::size_t n, std::uint64_t* out,
                 bool* found, const BatchHook& hook = BatchHook()) {
+    NodeBuffer nodes(n);
     Family::Full::Atomically([&](FullTx& tx) {
-      for (std::size_t i = 0; i < n; ++i) {
-        Node* node = FindNode(tx, keys[i]);
-        if (!tx.ok()) {
-          return;
-        }
-        const bool hit = node != nullptr;
-        std::uint64_t v = 0;
-        if (hit) {
-          v = DecodeInt(tx.Read(&node->value));
-          if (!tx.ok()) {
-            return;
-          }
-        }
-        if (out != nullptr) {
-          out[i] = v;
-        }
-        if (found != nullptr) {
-          found[i] = hit;
-        }
-        if (hook) {
-          hook(i);
-        }
+      if (!LocateAll(tx, n, [keys](std::size_t i) { return keys[i]; }, nodes.data())) {
+        return;
       }
+      ReadAll(tx, n, nodes.data(), out, found, hook);
     });
   }
 
@@ -211,6 +207,9 @@ class KvStore {
     Family::Full::Atomically([&](FullTx& tx) {
       scratch.ResetAttempt();
       for (std::size_t i = 0; i < n; ++i) {
+        if (i + kPrefetchDistance < n) {
+          PrefetchBucket(keys[i + kPrefetchDistance]);
+        }
         bool inserted = false;
         Node* node = FindOrInsert(tx, keys[i], vals[i], scratch, &inserted);
         if (!tx.ok()) {
@@ -229,18 +228,23 @@ class KvStore {
 
   // Read-modify-write, per key: fn(i, old_value, found) -> new_value, invoked
   // in key order immediately after that key's read (still inside the batch
-  // transaction). The returned value is written back iff the key was found;
-  // fn must be a pure function of its arguments (the batch retries as a whole,
-  // re-running fn). Missing keys are NOT inserted.
+  // transaction, after every key's chain walk). The returned value is written
+  // back iff the key was found; a duplicated key's later occurrence reads the
+  // earlier occurrence's buffered write. fn must be a pure function of its
+  // arguments (the batch retries as a whole, re-running fn). Missing keys are
+  // NOT inserted.
   template <typename Fn>
   void BatchUpdate(const std::uint64_t* keys, std::size_t n, Fn fn,
                    const BatchHook& hook = BatchHook()) {
+    NodeBuffer nodes(n);
     Family::Full::Atomically([&](FullTx& tx) {
+      Node** located = nodes.data();
+      if (!LocateAll(tx, n, [keys](std::size_t i) { return keys[i]; }, located)) {
+        return;
+      }
       for (std::size_t i = 0; i < n; ++i) {
-        Node* node = FindNode(tx, keys[i]);
-        if (!tx.ok()) {
-          return;
-        }
+        PrefetchValueAhead(located, i, n);
+        Node* node = located[i];
         if (node != nullptr) {
           const std::uint64_t old_v = DecodeInt(tx.Read(&node->value));
           if (!tx.ok()) {
@@ -267,26 +271,25 @@ class KvStore {
   template <typename Fn>
   void BatchTransact(const std::uint64_t* keys, std::size_t n, Fn fn) {
     std::vector<std::uint64_t> vals(n, 0);
-    std::vector<Node*> nodes(n, nullptr);
+    NodeBuffer nodes(n);
     Family::Full::Atomically([&](FullTx& tx) {
-      for (std::size_t i = 0; i < n; ++i) {
-        nodes[i] = FindNode(tx, keys[i]);
-        if (!tx.ok()) {
-          return;
-        }
-        vals[i] = nodes[i] != nullptr ? DecodeInt(tx.Read(&nodes[i]->value)) : 0;
-        if (!tx.ok()) {
-          return;
-        }
+      Node** located = nodes.data();
+      if (!LocateAll(tx, n, [keys](std::size_t i) { return keys[i]; }, located)) {
+        return;
       }
       std::vector<bool> found(n);
       for (std::size_t i = 0; i < n; ++i) {
-        found[i] = nodes[i] != nullptr;
+        PrefetchValueAhead(located, i, n);
+        found[i] = located[i] != nullptr;
+        vals[i] = found[i] ? DecodeInt(tx.Read(&located[i]->value)) : 0;
+        if (!tx.ok()) {
+          return;
+        }
       }
       fn(vals.data(), found, n);
       for (std::size_t i = 0; i < n; ++i) {
-        if (nodes[i] != nullptr) {
-          tx.Write(&nodes[i]->value, EncodeInt(vals[i]));
+        if (located[i] != nullptr) {
+          tx.Write(&located[i]->value, EncodeInt(vals[i]));
         }
       }
     });
@@ -298,33 +301,13 @@ class KvStore {
   std::uint64_t BatchScan(std::uint64_t lo, std::size_t n, std::uint64_t* out = nullptr,
                           bool* found = nullptr, const BatchHook& hook = BatchHook()) {
     std::uint64_t sum = 0;
+    NodeBuffer nodes(n);
     Family::Full::Atomically([&](FullTx& tx) {
       sum = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = lo + static_cast<std::uint64_t>(i);
-        Node* node = FindNode(tx, key);
-        if (!tx.ok()) {
-          return;
-        }
-        const bool hit = node != nullptr;
-        std::uint64_t v = 0;
-        if (hit) {
-          v = DecodeInt(tx.Read(&node->value));
-          if (!tx.ok()) {
-            return;
-          }
-          sum += v;
-        }
-        if (out != nullptr) {
-          out[i] = v;
-        }
-        if (found != nullptr) {
-          found[i] = hit;
-        }
-        if (hook) {
-          hook(i);
-        }
+      if (!LocateAll(tx, n, [lo](std::size_t i) { return lo + i; }, nodes.data())) {
+        return;
       }
+      sum = ReadAll(tx, n, nodes.data(), out, found, hook);
     });
     return sum;
   }
@@ -360,6 +343,12 @@ class KvStore {
  private:
   static constexpr bool kValLayout = std::is_same_v<Slot, ValSlot>;
   static constexpr std::size_t kSlotsPerChunk = StripePagePool::kPageBytes / sizeof(Slot);
+  // Batches up to this many keys locate into a stack buffer.
+  static constexpr std::size_t kInlineBatch = 64;
+  // How many keys ahead each phase prefetches: enough to overlap a few cache
+  // misses with the current key's work, few enough that the lines are still
+  // resident when their turn comes.
+  static constexpr std::size_t kPrefetchDistance = 8;
 
   struct Node {
     std::uint64_t key = 0;
@@ -486,6 +475,78 @@ class KvStore {
     std::vector<Pending> spare_;
     std::vector<Pending> linked_;
   };
+
+  // Node pointers of one batch's located keys: on the stack up to
+  // kInlineBatch keys, on the heap beyond. Allocated once per call and reused
+  // by every retry.
+  class NodeBuffer {
+   public:
+    explicit NodeBuffer(std::size_t n) {
+      if (n > kInlineBatch) {
+        heap_.reset(new Node*[n]);
+      }
+    }
+    Node** data() { return heap_ != nullptr ? heap_.get() : inline_; }
+
+   private:
+    Node* inline_[kInlineBatch];
+    std::unique_ptr<Node*[]> heap_;
+  };
+
+  void PrefetchBucket(std::uint64_t key) {
+    Family::Prefetch(BucketSlotFor(shards_[ShardOf(key)], key));
+  }
+
+  static void PrefetchValueAhead(Node* const* nodes, std::size_t i, std::size_t n) {
+    if (i + kPrefetchDistance < n && nodes[i + kPrefetchDistance] != nullptr) {
+      Family::Prefetch(&nodes[i + kPrefetchDistance]->value);
+    }
+  }
+
+  // Phase 1 of a read batch: walks the chain of every key_at(i), i < n, and
+  // stores its node (null on a miss) in nodes[i]. False iff the transaction
+  // failed mid-walk.
+  template <typename KeyAt>
+  bool LocateAll(FullTx& tx, std::size_t n, KeyAt key_at, Node** nodes) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDistance < n) {
+        PrefetchBucket(key_at(i + kPrefetchDistance));
+      }
+      nodes[i] = FindNode(tx, key_at(i));
+      if (!tx.ok()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Phase 2 of a read-only batch: reads the located value words in key order,
+  // gathers them into out/found (either may be null) and returns their sum.
+  std::uint64_t ReadAll(FullTx& tx, std::size_t n, Node* const* nodes, std::uint64_t* out,
+                        bool* found, const BatchHook& hook) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      PrefetchValueAhead(nodes, i, n);
+      std::uint64_t v = 0;
+      if (nodes[i] != nullptr) {
+        v = DecodeInt(tx.Read(&nodes[i]->value));
+        if (!tx.ok()) {
+          return 0;
+        }
+        sum += v;
+      }
+      if (out != nullptr) {
+        out[i] = v;
+      }
+      if (found != nullptr) {
+        found[i] = nodes[i] != nullptr;
+      }
+      if (hook) {
+        hook(i);
+      }
+    }
+    return sum;
+  }
 
   // Sorted-chain walk inside the caller's transaction; null on miss or !tx.ok().
   Node* FindNode(FullTx& tx, std::uint64_t key) {

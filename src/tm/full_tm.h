@@ -431,6 +431,13 @@ class FullTm {
     }
 
     bool LockWriteSet() {
+      // Request every orec and data line exclusive before the first CAS, so the
+      // misses overlap instead of each landing while earlier locks are held.
+      for (const WriteSet::Entry& e : desc_->wset) {
+        Slot& s = *static_cast<Slot*>(e.addr);
+        PrefetchForWrite(&Layout::OrecOf(s));
+        PrefetchForWrite(&Layout::Data(s));
+      }
       for (const WriteSet::Entry& e : desc_->wset) {
         if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
           return false;  // partial-lock abort: ReleaseLocks restores the prefix

@@ -247,6 +247,11 @@ class ValFullTm {
       });
       unsigned write_stripes =
           Validation::kPartitioned ? 0u : kAllCounterStripesMask;
+      // Request every word exclusive before the first CAS, so the misses
+      // overlap instead of each landing while earlier locks are held.
+      for (const WriteSet::Entry& e : desc_->wset) {
+        PrefetchForWrite(&static_cast<Slot*>(e.addr)->word);
+      }
       for (const WriteSet::Entry& e : desc_->wset) {
         auto* word = &static_cast<Slot*>(e.addr)->word;
         if constexpr (Validation::kPartitioned) {

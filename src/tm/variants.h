@@ -17,6 +17,7 @@
 
 #include <cassert>
 
+#include "src/common/cacheline.h"
 #include "src/common/tagged.h"
 #include "src/tm/clock.h"
 #include "src/tm/full_tm.h"
@@ -58,6 +59,13 @@ struct OrecBasedFamily {
   static Word RawRead(Slot* s) {
     return Layout::Data(*s).load(std::memory_order_relaxed);
   }
+
+  // Hint that `s` is about to be read transactionally: prefetches its data
+  // word and its orec (one line under TvarLayout, two under OrecLayout).
+  static void Prefetch(Slot* s) {
+    spectm::Prefetch(&Layout::Data(*s));
+    spectm::Prefetch(&Layout::OrecOf(*s));
+  }
 };
 
 template <typename ValidationT, ValMode kMode = ValMode::kCounterSkip>
@@ -85,6 +93,10 @@ struct ValFamilyT {
     s->word.store(v, std::memory_order_relaxed);
   }
   static Word RawRead(Slot* s) { return s->word.load(std::memory_order_relaxed); }
+
+  // Hint that `s` is about to be read transactionally: its word is both data
+  // and metadata (§2.4), so one line covers it.
+  static void Prefetch(Slot* s) { spectm::Prefetch(&s->word); }
 };
 
 }  // namespace internal

@@ -1,7 +1,8 @@
 // Service-level battery for the sharded KV store (src/svc/kv_store.h):
 // batched-transaction correctness and conservation under concurrency across
 // all four service engine families, plus the deterministic probe rows — one
-// descriptor per batch (amortization), stripe_skips on region-local batches
+// descriptor per batch (amortization), the locate-then-read batch shape
+// (value reads last in the read log), stripe_skips on region-local batches
 // (partitioned counter), simd_batches on wide batch validation (read-log batch
 // kernel), and linear-time validation of wide batches on the service orec
 // engine.
@@ -10,9 +11,11 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/soa_log.h"
 #include "src/svc/driver.h"
 #include "src/svc/kv_store.h"
 #include "src/tm/config.h"
@@ -99,6 +102,60 @@ TYPED_TEST(KvStoreFamilyTest, BatchUpdateIsReadModifyWrite) {
   EXPECT_TRUE(store.Get(keys[3], &v));
   EXPECT_EQ(v, 37u);
   EXPECT_FALSE(store.Get(missing, &v));
+}
+
+// A duplicated key inside one BatchUpdate: the second occurrence reads the
+// first occurrence's buffered write, so two +1 updates land as old + 2.
+TYPED_TEST(KvStoreFamilyTest, BatchUpdateDuplicateKeyReadsBufferedWrite) {
+  using F = TypeParam;
+  KvStore<F> store;
+  const std::uint64_t key = 5, initial = 10;
+  store.Put(key, initial);
+  const std::uint64_t keys[2] = {key, key};
+  std::uint64_t seen[2] = {0, 0};
+  store.BatchUpdate(keys, 2, [&seen](std::size_t i, std::uint64_t old_v, bool f) {
+    EXPECT_TRUE(f);
+    seen[i] = old_v;
+    return old_v + 1;
+  });
+  EXPECT_EQ(seen[0], initial);
+  EXPECT_EQ(seen[1], initial + 1) << "the repeat must see the buffered write";
+  std::uint64_t v = 0;
+  ASSERT_TRUE(store.Get(key, &v));
+  EXPECT_EQ(v, initial + 2);
+}
+
+// Hits and misses interleaved in one batch: every entry's found flag and value
+// is its own key's, for both the keyed gather and the range scan.
+TYPED_TEST(KvStoreFamilyTest, MixedHitsAndMissesReportFound) {
+  using F = TypeParam;
+  KvStore<F> store;
+  constexpr std::size_t kN = 40;
+  std::uint64_t keys[kN], out[kN];
+  bool found[kN];
+  for (std::uint64_t k = 0; k < kN; k += 2) {
+    store.Put(k, 100 + k);  // even keys present, odd keys missing
+  }
+  for (std::size_t i = 0; i < kN; ++i) {
+    keys[i] = (i * 7) % kN;  // a permutation, so hits and misses interleave
+    out[i] = 77;
+    found[i] = i % 3 == 0;
+  }
+  store.BatchGet(keys, kN, out, found);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const bool hit = keys[i] % 2 == 0;
+    EXPECT_EQ(found[i], hit) << "key " << keys[i];
+    EXPECT_EQ(out[i], hit ? 100 + keys[i] : 0u) << "key " << keys[i];
+  }
+  std::uint64_t expected_sum = 0;
+  for (std::uint64_t k = 0; k < kN; k += 2) {
+    expected_sum += 100 + k;
+  }
+  EXPECT_EQ(store.BatchScan(0, kN, out, found), expected_sum);
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(found[i], i % 2 == 0) << "key " << i;
+    EXPECT_EQ(out[i], i % 2 == 0 ? 100 + i : 0u) << "key " << i;
+  }
 }
 
 // Conservation: concurrent batched transfers across shards must preserve the
@@ -197,6 +254,80 @@ TYPED_TEST(KvStoreFamilyTest, BatchAmortizesDescriptorSetup) {
   std::uint64_t v = 0;
   ASSERT_TRUE(store.Get(keys[3], &v));
   EXPECT_EQ(v, 4 + kBatches);
+}
+
+// Locate-then-read: a read batch walks every key's chain before it reads any
+// value, so the value reads are the last n entries of its read log, in key
+// order. The read log holds each read's metadata word: the orec on the orec
+// layout, the value word itself on the val layout.
+template <typename F>
+const void* ValueMetadataOf(typename F::Slot* slot) {
+  if constexpr (std::is_same_v<typename F::Slot, ValSlot>) {
+    return &slot->word;
+  } else {
+    return &F::Layout::OrecOf(*slot);
+  }
+}
+
+template <typename F>
+const SoaReadLog& LastReadLog() {
+  TxDesc& desc = DescOf<typename F::DomainTag>();
+  if constexpr (std::is_same_v<typename F::Slot, ValSlot>) {
+    return desc.val_read_log;
+  } else {
+    return desc.read_log;
+  }
+}
+
+template <typename F>
+void ExpectValueReadsLast(KvStore<F>& store, const std::vector<std::uint64_t>& keys) {
+  const SoaReadLog& log = LastReadLog<F>();
+  ASSERT_GE(log.Size(), 2 * keys.size()) << "every key walks at least its bucket head";
+  const std::size_t first = log.Size() - keys.size();
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    typename F::Slot* slot = store.DebugValueSlotOf(keys[i]);
+    ASSERT_NE(slot, nullptr);
+    EXPECT_EQ(static_cast<const void*>(log.PtrAt(first + i)), ValueMetadataOf<F>(slot))
+        << "read-log entry " << first + i << " is not key " << keys[i] << "'s value";
+  }
+}
+
+template <typename F>
+void CheckBatchReadsValuesLast() {
+  KvStore<F> store;
+  constexpr std::size_t kN = 24;
+  std::vector<std::uint64_t> all(256);
+  std::vector<std::uint64_t> vals(all.size());
+  for (std::uint64_t k = 0; k < all.size(); ++k) {
+    all[k] = k;
+    vals[k] = k + 1;
+  }
+  store.BatchPut(all.data(), vals.data(), all.size());
+
+  std::vector<std::uint64_t> keys(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    keys[i] = (i * 37) % all.size();
+  }
+  std::uint64_t out[kN];
+  bool found[kN];
+  store.BatchGet(keys.data(), kN, out, found);
+  ExpectValueReadsLast(store, keys);
+
+  constexpr std::uint64_t kLo = 100;
+  std::vector<std::uint64_t> range(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    range[i] = kLo + i;
+  }
+  store.BatchScan(kLo, kN);
+  ExpectValueReadsLast(store, range);
+}
+
+TEST(KvStoreBatchShape, SvcOrecReadsValuesAfterEveryChainWalk) {
+  CheckBatchReadsValuesLast<SvcOrec>();
+}
+
+TEST(KvStoreBatchShape, SvcValReadsValuesAfterEveryChainWalk) {
+  CheckBatchReadsValuesLast<SvcVal>();
 }
 
 // Stripe homing: on the val layout (metadata == data word) every transactional

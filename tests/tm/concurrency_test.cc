@@ -26,6 +26,9 @@ class TmConcurrency : public ::testing::Test {};
 // non-unique timestamps + reader-side clock catch-up under real races) and the
 // adaptive/partitioned validation families over both layouts (writer-summary
 // bumps racing counter-skip/stripe-skip readers). All of it runs under TSan in CI.
+// CMakeLists.txt reads this list and registers one CTest entry per family
+// (filter TmConcurrency/<index>.*), so every test in this file must be a
+// TmConcurrency typed test.
 using AllFamilies =
     ::testing::Types<OrecG, OrecL, TvarG, TvarL, Val, ValGlobalCounter,
                      ValPerThreadCounter, Pver, ValEager, OrecGv5, OrecGv6,
