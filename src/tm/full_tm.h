@@ -72,8 +72,6 @@ class FullTm {
   // mode pays for them (see WriterSummary's kPartitionedCounters note).
   using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
   using Probe = ValProbe<DomainTag>;
-  using Cm = SerialCm<DomainTag>;
-  using Gate = SerialGate<DomainTag>;
   static constexpr ValMode kValMode = kMode;
   // Reader-side strategy only pays off where per-read revalidation exists: the
   // local-clock families. Global-clock readers keep rv-sampling + extension.
@@ -90,11 +88,7 @@ class FullTm {
     // between Start() and Commit(): no commit lock can be outstanding here
     // (Commit never escapes while holding any — its internal guard sees to
     // that), but the serial token and the attempt accounting can be.
-    ~Tx() {
-      if (desc_ != nullptr && active_) {
-        AbortForUnwind();
-      }
-    }
+    ~Tx() { AbortForUnwind(); }
 
     void Start() {
       desc_ = &DescOf<DomainTag>();
@@ -103,18 +97,8 @@ class FullTm {
       desc_->lock_log.clear();
       active_ = true;
       user_abort_ = false;
-      // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below.
-      Cm::NoteAttemptStart(*desc_);
-      // Two-phase contention manager, phase 2: past the (hysteretic) streak
-      // threshold this attempt runs serial-irrevocable. Token first, reads
-      // after — once AcquireSerial returns, no other committer is in flight,
-      // so nothing this attempt reads can be invalidated before Commit.
-      if (!serial_ && Cm::ShouldEscalate(*desc_)) {
-        Gate::AcquireSerial(desc_);
-        serial_ = true;
-        Cm::NoteEscalated(*desc_);
-      }
+      // Watchdog feed and serial escalation, before the first read.
+      attempt_.Begin(*desc_);
       if constexpr (Clock::kHasGlobalClock) {
         rv_ = Clock::Sample();
       }
@@ -237,14 +221,12 @@ class FullTm {
     // user abort returns false immediately.
     bool Commit() {
       if (!active_) {
-        OnAbort();
+        attempt_.Aborted(*desc_);
         return false;
       }
       active_ = false;
       if (user_abort_) {
-        desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-        UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-        ReleaseSerialIfHeld();  // user abort must not wedge the domain
+        attempt_.Unwound(*desc_);  // no backoff: a user abort is not contention
         return false;
       }
       if (desc_->wset.Empty()) {
@@ -252,29 +234,23 @@ class FullTm {
         // incremental validation), so there is nothing left to check. Readers
         // never enter the committer gate — this is the path that keeps running
         // concurrently with a serial transaction.
-        OnCommit();
+        attempt_.Committed(*desc_);
         return true;
       }
-      // Committer gate: announce before the first lock CAS so a serial owner
-      // can drain us, and fail fast if the token is held (retry via backoff;
-      // bounded by the serial transaction's solo execution). A serial attempt
-      // holds the token instead and skips the gate.
-      if (!serial_) {
-        if (!Gate::TryEnterCommitter(desc_)) {
-          OnAbort();
-          return false;
-        }
-        gated_ = true;
+      // Committer gate before the first lock CAS; fails fast while a serial
+      // transaction holds the token.
+      if (!attempt_.EnterCommitter(*desc_)) {
+        attempt_.Aborted(*desc_);
+        return false;
       }
       // Unwind guard over the locked region: every early conflict return AND
       // any exception erupting between the first lock CAS and the end of
       // validation (fail-point throw injection — nothing else on this path
-      // throws) runs one release sequence, in OnAbort's mandatory order:
-      // locks restored, then the gate flag retracted, then the serial token
-      // released (docs/VALIDATION.md §8).
+      // throws) runs one release sequence: locks restored, then the attempt's
+      // gate flag and token (docs/VALIDATION.md §8).
       TxUnwindGuard cleanup([this] {
         ReleaseLocks();
-        OnAbort();
+        attempt_.Aborted(*desc_);
       });
       if (!LockWriteSet()) {
         return false;
@@ -297,18 +273,10 @@ class FullTm {
         // the commit-time validation below and before any data store or orec
         // release. Bump-before-validate is what lets the skip paths stay sound
         // between two crossing committers (valstrategy.h): whichever bumps second
-        // fails its own skip test and walks into the first one's locks. The
-        // stripe mask shards the bump: only the counter stripes this write set
-        // touches move, so disjoint-stripe readers keep their anchors.
-        for (const LockLogEntry& l : desc_->lock_log) {
-          write_stripes |= 1u << CounterStripeOf(l.orec);
-        }
-        own_idx = Summary::Bump(write_stripes);
-        ++Probe::Get().summary_publishes;
-        if constexpr (kMode == ValMode::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(write_stripes));
-        }
+        // fails its own skip test and walks into the first one's locks.
+        write_stripes = WriteStripesOf<Summary>(
+            desc_->lock_log, [](const LockLogEntry& l) { return l.orec; });
+        own_idx = BumpWriterSummary<Summary, Probe>(desc_, write_stripes);
       }
       if constexpr (kStrategicReads) {
         // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
@@ -331,7 +299,7 @@ class FullTm {
         l.orec->store(MakeOrecVersion(Clock::ReleaseVersion(wv, l.old_word)),
                       std::memory_order_release);
       }
-      OnCommit();
+      attempt_.Committed(*desc_);
       return true;
     }
 
@@ -339,16 +307,20 @@ class FullTm {
     // attempt that an exception tore out of the BODY. Locks are only ever held
     // inside Commit(), which unwinds them internally, so here only the serial
     // token and the attempt accounting can be outstanding. Idempotent: after
-    // Commit's internal guard already finished the attempt, this is a no-op.
-    // No backoff — like a user abort, a cancel is not contention.
+    // Commit already finished the attempt, nothing is left to release. A
+    // failed read deactivates the attempt without finishing it, so a token
+    // taken at Start() is released here too. No backoff — like a user abort,
+    // a cancel is not contention.
     void AbortForUnwind() {
-      if (!active_) {
-        return;
+      if (desc_ == nullptr) {
+        return;  // never started
       }
-      active_ = false;
-      ReleaseSerialIfHeld();
-      desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/true);
+      if (active_) {
+        active_ = false;
+        attempt_.Unwound(*desc_);
+      } else {
+        attempt_.Release(*desc_);
+      }
     }
 
    private:
@@ -356,7 +328,6 @@ class FullTm {
 
     Word Fail() {
       active_ = false;
-      conflicted_ = true;
       return 0;
     }
 
@@ -469,88 +440,19 @@ class FullTm {
       desc_->lock_log.clear();
     }
 
-    // The gate is held through the releasing stores: a serial transaction must
-    // not see flags drained while our commit locks are still planted, or its
-    // own (fail-fast) lock acquisition could hit them and abort — the one
-    // thing serial mode promises cannot happen.
-    void ExitGateIfHeld() {
-      if (gated_) {
-        Gate::ExitCommitter(desc_);
-        gated_ = false;
-      }
-    }
-
-    void ReleaseSerialIfHeld() {
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-      }
-    }
-
-    void OnCommit() {
-      ExitGateIfHeld();
-      desc_->stats.commits.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/false);
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-        Cm::OnSerialCommit(*desc_);
-      } else {
-        Cm::OnOptimisticCommit(*desc_);
-      }
-    }
-
-    void OnAbort() {
-      ExitGateIfHeld();
-      // A serial attempt cannot conflict-abort, but a forced (fail-point)
-      // abort can land here; the token MUST go back either way.
-      ReleaseSerialIfHeld();
-      desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-      Cm::NoteAbortBackoff(*desc_);
-    }
-
     TxDesc* desc_ = nullptr;
     Word rv_ = 0;
     StratState state_;
+    TxAttempt<DomainTag> attempt_;
     bool active_ = false;
-    bool conflicted_ = false;
     bool user_abort_ = false;
-    bool serial_ = false;  // this attempt holds the serialization token
-    bool gated_ = false;   // this attempt announced itself as a committer
   };
 
-  // Convenience retry wrapper: runs `body(tx)` until it commits. The body must
-  // tolerate re-execution and check tx.ok() before dereferencing read results.
-  //
-  // Exception contract (src/tm/txguard.h): a TxCancel thrown anywhere inside
-  // the body aborts the attempt through the ordinary unwind path, then either
-  // retries (Policy::kRetry) or returns false with nothing published
-  // (Policy::kAbort). Any OTHER exception — a foreign throw from user code, or
-  // an injected fault erupting inside Commit itself — aborts the attempt the
-  // same way and rethrows, with every lock restored and the serial token
-  // released before the exception leaves this frame. Returns true iff a body
-  // execution committed.
+  // Retry wrapper: runs `body(tx)` until it commits (src/tm/txguard.h
+  // RunAtomically, which also states the exception contract).
   template <typename Body>
   static bool Atomically(Body&& body) {
-    Tx tx;
-    while (true) {
-      try {
-        tx.Start();
-        body(tx);
-        if (tx.Commit()) {
-          return true;
-        }
-      } catch (const TxCancel& cancel) {
-        tx.AbortForUnwind();
-        if (cancel.policy == TxCancel::Policy::kAbort) {
-          return false;
-        }
-      } catch (...) {
-        tx.AbortForUnwind();
-        throw;
-      }
-    }
+    return RunAtomically<Tx>(body);
   }
 
   static TxStats& StatsForCurrentThread() { return DescOf<DomainTag>().stats; }

@@ -209,8 +209,8 @@ class SerialGate {
       committers_[ThreadRegistry::kMaxThreads]{};
 };
 
-// Policy glue the engines call. Keeps the watchdog/hysteresis arithmetic in
-// one place so all four engines agree on when to escalate.
+// Policy glue behind TxAttempt (below). Keeps the watchdog/hysteresis
+// arithmetic in one place so all four engines agree on when to escalate.
 template <typename DomainTag>
 struct SerialCm {
   using Gate = SerialGate<DomainTag>;
@@ -239,9 +239,10 @@ struct SerialCm {
     return true;
   }
 
-  // Call at every attempt start (all four engines' Start/Reset paths route
-  // here): feeds the watchdog's serial-gate hold-count signal — K consecutive
-  // attempt starts observing a FOREIGN token holder degrade the domain.
+  // Call at every attempt start (TxAttempt::Begin, run by every engine's
+  // Start/Reset path): feeds the watchdog's serial-gate hold-count signal —
+  // K consecutive attempt starts observing a FOREIGN token holder degrade the
+  // domain.
   static void NoteAttemptStart(TxDesc& desc) {
 #if defined(SPECTM_HEALTH)
     TxDesc* owner = Gate::SerialOwner();
@@ -336,6 +337,141 @@ struct SerialCm {
     health::StoreSnapshot<DomainTag>(b.Finish());
   }
 #endif
+};
+
+// One transaction attempt's contention-manager lifecycle, shared by all four
+// engines (full and short, orec and val): the escalation decision at start,
+// the committer-gate entry before the first lock, and the outcome accounting
+// (commit/abort statistics, abort-rate EWMA, serial or optimistic CM
+// bookkeeping, phase-1 backoff). The engines keep what really differs between
+// them — read paths, lock loops, version publication — and call in here at
+// the attempt's boundaries.
+//
+// Release order (docs/VALIDATION.md §8): the caller restores its locks first;
+// every exit below then retracts the gate flag, then releases the serial
+// token. The gate is held through the releasing stores so a draining serial
+// transaction never sees the flags at zero while our locks still stand.
+//
+// Exit table (tests/tm/attempt_accounting_test.cc pins it per engine):
+//   Committed()        commits+1, EWMA decays, serial or optimistic CM commit
+//   Aborted()          aborts+1, EWMA rises, phase-1 backoff (contention)
+//   Unwound()          aborts+1, EWMA rises, no backoff (user abort, TxCancel,
+//                      foreign exception: none of them is contention)
+//   Dropped(...)       a short record's Abort(): Aborted() for contention,
+//                      aborts+1 only for a still-valid read-only record,
+//                      nothing for a record that never read
+//   Release()          no accounting (the early gate/token release of a
+//                      short-transaction overflow, which Abort() counts
+//                      later; a full attempt unwound after a failed read)
+template <typename DomainTag>
+class TxAttempt {
+ public:
+  using Cm = SerialCm<DomainTag>;
+  using Gate = SerialGate<DomainTag>;
+
+  // Attempt start: the health watchdog's attempt-start feed, then phase 2 of
+  // the contention manager — past the (hysteretic) streak threshold the
+  // attempt takes the serialization token BEFORE its first read, so nothing it
+  // reads can be invalidated by another committer.
+  void Begin(TxDesc& desc) {
+    Cm::NoteAttemptStart(desc);
+    if (!serial_ && Cm::ShouldEscalate(desc)) {
+      Gate::AcquireSerial(&desc);
+      serial_ = true;
+      Cm::NoteEscalated(desc);
+    }
+  }
+
+  // Committer-gate entry, before the attempt's first lock CAS (commit time in
+  // the full engines, encounter time in the short ones). Idempotent; a serial
+  // attempt holds the token and skips the gate. False means a serial
+  // transaction holds the token: fail fast and retry through backoff.
+  bool EnterCommitter(TxDesc& desc) {
+    if (serial_ || gated_) {
+      return true;
+    }
+    if (!Gate::TryEnterCommitter(&desc)) {
+      return false;
+    }
+    gated_ = true;
+    return true;
+  }
+
+  // Gate flag, then serial token. Idempotent.
+  void Release(TxDesc& desc) {
+    if (gated_) {
+      Gate::ExitCommitter(&desc);
+      gated_ = false;
+    }
+    if (serial_) {
+      Gate::ReleaseSerial(&desc);
+      serial_ = false;
+    }
+  }
+
+  void Committed(TxDesc& desc) {
+    const bool serial = serial_;
+    Release(desc);
+    desc.stats.commits.fetch_add(1, std::memory_order_relaxed);
+    UpdateAbortEwma(desc.stats, /*aborted=*/false);
+    if (serial) {
+      Cm::OnSerialCommit(desc);
+    } else {
+      Cm::OnOptimisticCommit(desc);
+    }
+  }
+
+  // A contention abort: a conflict, a failed validation, or the gate closed
+  // by a serial transaction. A serial attempt cannot conflict-abort, but a
+  // forced (fail-point) abort can land here; the token goes back either way.
+  // This and Unwound() are kept out of line: inlined into every abort site
+  // they made the full engines' Commit() too large to inline into its caller,
+  // which cost two-word commits several percent.
+#if defined(__GNUC__)
+  __attribute__((cold, noinline))
+#endif
+  void Aborted(TxDesc& desc) {
+    Release(desc);
+    desc.stats.aborts.fetch_add(1, std::memory_order_relaxed);
+    UpdateAbortEwma(desc.stats, /*aborted=*/true);
+    Cm::NoteAbortBackoff(desc);
+  }
+
+#if defined(__GNUC__)
+  __attribute__((cold, noinline))
+#endif
+  void Unwound(TxDesc& desc) {
+    Release(desc);
+    desc.stats.aborts.fetch_add(1, std::memory_order_relaxed);
+    UpdateAbortEwma(desc.stats, /*aborted=*/true);
+  }
+
+  // A short-transaction record dropped through Abort(), after its locks were
+  // restored. `locked`: it holds (or held) an encounter-time lock; `read`: it
+  // logged a read-only read. Anything locked or invalid is contention and
+  // backs off like a full attempt (retried hot, short transactions fall into
+  // the lock-step livelock the two-phase manager exists to break). A
+  // still-valid read-only record is the paper's normal RO completion
+  // ("successful validation serves in the place of commit"): it counts an
+  // abort but stays out of the EWMA that steers the adaptive engine and out of
+  // the backoff. A record that never read is no attempt at all.
+  void Dropped(TxDesc& desc, bool locked, bool read, bool valid) {
+    if (locked || !valid) {
+      Aborted(desc);
+      return;
+    }
+    Release(desc);
+    if (read) {
+      desc.stats.aborts.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+ private:
+  // Two flags and no descriptor pointer: the engines already hold the
+  // descriptor, and the attempt record lives in every transaction object,
+  // whose size the full engines' per-operation cost is sensitive to.
+  bool serial_ = false;  // this attempt holds the serialization token
+  bool gated_ = false;   // this attempt announced itself as a committer
 };
 
 }  // namespace spectm

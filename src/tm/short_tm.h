@@ -61,7 +61,6 @@ class ShortTm {
   // mode pays for them (see WriterSummary's kPartitionedCounters note).
   using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
   using Probe = ValProbe<DomainTag>;
-  using Cm = SerialCm<DomainTag>;
   using Gate = SerialGate<DomainTag>;
   static constexpr ValMode kValMode = kMode;
   static constexpr bool kStrategic = kMode != ValMode::kPassive;
@@ -102,7 +101,8 @@ class ShortTm {
       // first lock onward: announce at the committer gate BEFORE that lock so a
       // serial-irrevocable transaction (src/tm/serial.h) can exclude us. Fail
       // fast while the token is held — the caller's normal restart loop retries.
-      if (!EnterGateForFirstLock()) {
+      if (!attempt_.EnterCommitter(*desc_)) {
+        valid_ = false;
         return 0;
       }
       if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
@@ -234,7 +234,8 @@ class ShortTm {
         UnwindForOverflow();
         return false;
       }
-      if (!EnterGateForFirstLock()) {  // upgrades lock too (see ReadRw)
+      if (!attempt_.EnterCommitter(*desc_)) {  // upgrades lock too (see ReadRw)
+        valid_ = false;
         return false;
       }
       if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
@@ -265,13 +266,13 @@ class ShortTm {
     bool CommitRw(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
-      BumpWriterSummary();  // before the data stores, while every lock is held
+      BumpForCommit();  // before the data stores, while every lock is held
       const Word* v = values.begin();
       for (std::size_t i = 0; i < rw_.Size(); ++i) {
         Layout::Data(*rw_[i].slot).store(v[i], std::memory_order_release);
       }
       ReleaseLocksCommitted();
-      Finish(/*committed=*/true);
+      Finish();
       return true;
     }
 
@@ -293,7 +294,7 @@ class ShortTm {
           ro_ok = ValidateRo();
         } else {
           unsigned write_stripes = 0;
-          const Word own_idx = BumpWriterSummary(&write_stripes);
+          const Word own_idx = BumpForCommit(&write_stripes);
           if (state_.TrySkipCommit(own_idx, write_stripes)) {
             ro_ok = true;
           } else {
@@ -315,7 +316,7 @@ class ShortTm {
         Layout::Data(*rw_[i].slot).store(v[i], std::memory_order_release);
       }
       ReleaseLocksCommitted();
-      Finish(/*committed=*/true);
+      Finish();
       return true;
     }
 
@@ -328,29 +329,12 @@ class ShortTm {
       if (!unwound_) {
         ReleaseLocksAborted();
       }
-      // Locks are restored above BEFORE the gate exit: a draining serial
-      // transaction must never observe flags at zero while our locks stand.
-      ExitGateIfHeld();
-      ReleaseSerialIfHeld();
-      const bool untouched = rw_.Empty() && ro_.Empty() && valid_;
-      // A still-valid, read-only record being dropped is the paper's normal RO
-      // completion/cleanup pattern ("successful validation serves in the place of
-      // commit"), not contention — keep it out of the abort-rate EWMA that
-      // steers the adaptive engine, while the raw abort statistic keeps its
-      // historical meaning.
-      const bool contention = !(rw_.Empty() && valid_);
+      // Locks are restored above BEFORE the attempt releases its gate flag: a
+      // draining serial transaction must never observe flags at zero while
+      // our locks stand.
+      attempt_.Dropped(*desc_, !rw_.Empty(), !ro_.Empty(), valid_);
       finished_ = true;
       valid_ = false;
-      if (!untouched) {
-        desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-        if (contention) {
-          UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-          // Phase-1 backoff + streak watchdog. The seed applied backoff only in
-          // the full engines; short transactions retried hot, which is exactly
-          // the lock-step livelock shape the two-phase manager exists to break.
-          Cm::NoteAbortBackoff(*desc_);
-        }
-      }
     }
 
     // Re-arms the record for the caller's `goto restart` loop, releasing any locks
@@ -392,14 +376,7 @@ class ShortTm {
     // checkpoint: past the (hysteretic) abort-streak threshold this attempt
     // takes the serialization token up front and cannot conflict thereafter.
     void StartAttempt() {
-      // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below.
-      Cm::NoteAttemptStart(*desc_);
-      if (!serial_ && Cm::ShouldEscalate(*desc_)) {
-        Gate::AcquireSerial(desc_);
-        serial_ = true;
-        Cm::NoteEscalated(*desc_);
-      }
+      attempt_.Begin(*desc_);
       if constexpr (kStrategic) {
         state_.StartAttempt(kMode, desc_->stats);
       }
@@ -432,65 +409,26 @@ class ShortTm {
 #endif
     void UnwindForOverflow() {
       ReleaseLocksAborted();
-      ExitGateIfHeld();
-      ReleaseSerialIfHeld();
+      attempt_.Release(*desc_);
       unwound_ = true;
       valid_ = false;
     }
 
-    // Committer-gate entry, once per attempt, before the FIRST lock CAS.
-    // Serial attempts own the token and skip the gate.
-    bool EnterGateForFirstLock() {
-      if (serial_ || gated_) {
-        return true;
-      }
-      if (!Gate::TryEnterCommitter(desc_)) {
-        valid_ = false;  // token held: fail fast, restart via Abort/Reset
-        return false;
-      }
-      gated_ = true;
-      return true;
-    }
-
-    void ExitGateIfHeld() {
-      if (gated_) {
-        Gate::ExitCommitter(desc_);
-        gated_ = false;
-      }
-    }
-
-    void ReleaseSerialIfHeld() {
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-      }
-    }
-
-    // Writer-side summary: bump the domain counter — only the stripes this write
-    // set touches — while all orec locks are held, before any data store and
-    // before the final commit validation (valstrategy.h ordering). Returns the
-    // writer's own commit index (0 when nothing was bumped) and, via
-    // `out_stripes`, the stripe mask it bumped (for the partitioned commit-skip
-    // test). A pure-RO commit (empty RW set) releases nothing and must not move
-    // the counter.
-    Word BumpWriterSummary(unsigned* out_stripes = nullptr) {
+    // Writer-side summary bump (valstrategy.h BumpWriterSummary) while all
+    // orec locks are held, before any data store and before the final commit
+    // validation. Returns the writer's own commit index (0 when nothing was
+    // bumped) and, via `out_stripes`, the stripe mask it bumped. A pure-RO
+    // commit (empty RW set) releases nothing and must not move the counter.
+    Word BumpForCommit(unsigned* out_stripes = nullptr) {
       if constexpr (kStrategic) {
-        if (rw_.Empty()) {
-          return 0;
+        if (!rw_.Empty()) {
+          const unsigned stripes =
+              WriteStripesOf<Summary>(rw_, [](const RwEntry& e) { return e.orec; });
+          if (out_stripes != nullptr) {
+            *out_stripes = stripes;
+          }
+          return BumpWriterSummary<Summary, Probe>(desc_, stripes);
         }
-        unsigned stripes = 0;
-        for (const RwEntry& e : rw_) {
-          stripes |= 1u << CounterStripeOf(e.orec);
-        }
-        if (out_stripes != nullptr) {
-          *out_stripes = stripes;
-        }
-        ++Probe::Get().summary_publishes;
-        if constexpr (kMode == ValMode::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(stripes));
-        }
-        return Summary::Bump(stripes);
       }
       return 0;
     }
@@ -546,28 +484,12 @@ class ShortTm {
       }
     }
 
-    void Finish(bool committed) {
-      // Locks were released by the caller; the gate can drop now (and must
-      // not before — see Abort()).
-      ExitGateIfHeld();
+    // Locks were released by the caller; the gate can drop now (and must
+    // not before — see Abort()).
+    void Finish() {
       finished_ = true;
       valid_ = false;
-      if (committed) {
-        desc_->stats.commits.fetch_add(1, std::memory_order_relaxed);
-        UpdateAbortEwma(desc_->stats, /*aborted=*/false);
-        if (serial_) {
-          Gate::ReleaseSerial(desc_);
-          serial_ = false;
-          Cm::OnSerialCommit(*desc_);
-        } else {
-          Cm::OnOptimisticCommit(*desc_);
-        }
-      } else {
-        ReleaseSerialIfHeld();
-        desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-        UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-        Cm::NoteAbortBackoff(*desc_);
-      }
+      attempt_.Committed(*desc_);
     }
 
     using StratState = StrategyState<Summary, Probe>;
@@ -576,11 +498,10 @@ class ShortTm {
     InlineVec<RwEntry, kMaxShortWrites> rw_;
     InlineVec<RoEntry, kMaxShortReads> ro_;
     StratState state_;
+    TxAttempt<DomainTag> attempt_;
     bool valid_ = true;
     bool finished_ = false;
     bool unwound_ = false;  // overflow unwind already released the locks
-    bool serial_ = false;   // this attempt holds the serialization token
-    bool gated_ = false;    // this attempt announced itself as a committer
   };
 
   // --- Single-operation transactions (Tx_Single_*, Figure 2) -------------------------
@@ -621,11 +542,8 @@ class ShortTm {
       orec.store(old_word, std::memory_order_release);
     });
     if constexpr (kStrategic) {
-      // Locked, before the data store; one location -> one stripe bumped.
-      if constexpr (kMode == ValMode::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
-      Summary::Bump(1u << CounterStripeOf(&orec));
+      // Locked, before the data store.
+      BumpWriterSummary<Summary, Probe>(self, StripeBitOf<Summary>(&orec));
     }
     Layout::Data(*s).store(value, std::memory_order_release);
     Word wv = 0;
@@ -656,11 +574,8 @@ class ShortTm {
       return observed;
     }
     if constexpr (kStrategic) {
-      // Locked, before the data store; one location -> one stripe bumped.
-      if constexpr (kMode == ValMode::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
-      Summary::Bump(1u << CounterStripeOf(&orec));
+      // Locked, before the data store.
+      BumpWriterSummary<Summary, Probe>(self, StripeBitOf<Summary>(&orec));
     }
     Layout::Data(*s).store(desired, std::memory_order_release);
     Word wv = 0;

@@ -1,5 +1,6 @@
-// Unwind-safe abort machinery: the TxCancel control-flow exception and the RAII
-// unwind guard the engines hang their abort paths on.
+// Unwind-safe abort machinery: the TxCancel control-flow exception, the RAII
+// unwind guard the engines hang their abort paths on, and the one retry driver
+// that catches both.
 //
 // The paper's retry loops assume user code returns; a real service's user code
 // throws. Any exception escaping a transaction body — a deliberate cancel or a
@@ -8,14 +9,15 @@
 // the whole domain wedges (every later committer spins on the orphaned locks,
 // every later escalation blocks on the orphaned token).
 //
-// Two pieces:
+// Three pieces:
 //
 //   * TxCancel — a control-flow exception users throw (via CancelAndRetry /
 //     CancelTx) to abort the current attempt compositionally, from arbitrarily
-//     deep inside the body. The engines' Atomically() loops catch it, unwind
-//     the attempt through the ordinary abort path, and either retry the body
-//     (kRetry) or return false to the caller (kAbort). Foreign exceptions take
-//     the same unwind path but rethrow after the attempt is cleanly aborted.
+//     deep inside the body. The one retry driver, RunAtomically() below,
+//     catches it, unwinds the attempt through the ordinary abort path, and
+//     either retries the body (kRetry) or returns false to the caller
+//     (kAbort). Foreign exceptions take the same unwind path but rethrow
+//     after the attempt is cleanly aborted.
 //
 //   * TxUnwindGuard — a dismissible scope guard. A commit path constructs one
 //     over "release my locks, finish the attempt as aborted" immediately after
@@ -24,6 +26,8 @@
 //     destruct in reverse construction order, which is exactly the unwind
 //     ordering docs/VALIDATION.md §8 requires: locks restored before the gate
 //     flag retracts, gate before the serial token releases.
+//
+//   * RunAtomically — the retry driver behind every Family::Full::Atomically.
 //
 // Cleanup callables must be noexcept in spirit: they run during unwind, where a
 // second exception is std::terminate. The engines' release paths are plain
@@ -78,6 +82,39 @@ class TxUnwindGuard {
 
 template <typename Cleanup>
 TxUnwindGuard(Cleanup) -> TxUnwindGuard<Cleanup>;
+
+// The retry driver behind both full engines' Atomically(): runs `body(tx)` on
+// a fresh attempt until one commits. The body must tolerate re-execution and
+// check tx.ok() before dereferencing read results.
+//
+// Exception contract: a TxCancel thrown anywhere inside the body aborts the
+// attempt through the ordinary unwind path, then either retries
+// (Policy::kRetry) or returns false with nothing published (Policy::kAbort).
+// Any OTHER exception — a foreign throw from user code, or an injected fault
+// erupting inside Commit itself — aborts the attempt the same way and
+// rethrows, with every lock restored and the serial token released before the
+// exception leaves this frame. Returns true iff a body execution committed.
+template <typename Tx, typename Body>
+bool RunAtomically(Body& body) {
+  Tx tx;
+  while (true) {
+    try {
+      tx.Start();
+      body(tx);
+      if (tx.Commit()) {
+        return true;
+      }
+    } catch (const TxCancel& cancel) {
+      tx.AbortForUnwind();
+      if (cancel.policy == TxCancel::Policy::kAbort) {
+        return false;
+      }
+    } catch (...) {
+      tx.AbortForUnwind();
+      throw;
+    }
+  }
+}
 
 }  // namespace spectm
 

@@ -50,8 +50,6 @@ class ValFullTm {
   using Validation = ValidationT;
   using Slot = ValSlot;
   using Probe = ValProbe<ValDomainTag>;
-  using Cm = SerialCm<ValDomainTag>;
-  using Gate = SerialGate<ValDomainTag>;
   static constexpr ValMode kValMode = kMode;
   // Strategy machinery only matters when the counter is precise; otherwise every
   // path degenerates to the incremental walk and the extra state is dead.
@@ -74,11 +72,7 @@ class ValFullTm {
     // between Start() and Commit(): value locks are only ever held inside
     // Commit() (which unwinds them internally), so here only the serial token
     // and the attempt accounting can be outstanding.
-    ~Tx() {
-      if (desc_ != nullptr && active_) {
-        AbortForUnwind();
-      }
-    }
+    ~Tx() { AbortForUnwind(); }
 
     void Start() {
       desc_ = &DescOf<ValDomainTag>();
@@ -87,19 +81,10 @@ class ValFullTm {
       desc_->val_lock_log.clear();
       active_ = true;
       user_abort_ = false;
-      // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below.
-      Cm::NoteAttemptStart(*desc_);
-      // Serial escalation (src/tm/serial.h): token before the first read, so
-      // the attempt observes a committer-quiescent domain and cannot abort.
-      // The serial commit below still bumps the writer summary —
-      // concurrent READERS keep validating against it (see VALIDATION.md
-      // "Serial-irrevocable interop").
-      if (!serial_ && Cm::ShouldEscalate(*desc_)) {
-        Gate::AcquireSerial(desc_);
-        serial_ = true;
-        Cm::NoteEscalated(*desc_);
-      }
+      // Watchdog feed and serial escalation, before the first read. A serial
+      // commit still bumps the writer summary — concurrent READERS keep
+      // validating against it (VALIDATION.md "Serial-irrevocable interop").
+      attempt_.Begin(*desc_);
       if constexpr (kStrategic) {
         state_.StartAttempt(kMode, desc_->stats);
       } else {
@@ -210,31 +195,25 @@ class ValFullTm {
       active_ = false;
       if (user_abort_) {
         UnpinIfPinned();
-        desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-        UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-        ReleaseSerialIfHeld();
+        attempt_.Unwound(*desc_);  // no backoff: a user abort is not contention
         return false;
       }
       if (desc_->wset.Empty()) {
         OnCommit();
         return true;  // reads were kept consistent incrementally
       }
-      // Committer gate: announce before the first lock CAS; fail fast while a
-      // serial transaction holds the token (read-only transactions above never
-      // get here and keep running).
-      if (!serial_) {
-        if (!Gate::TryEnterCommitter(desc_)) {
-          OnAbort();
-          return false;
-        }
-        gated_ = true;
+      // Committer gate before the first lock CAS; fails fast while a serial
+      // transaction holds the token (read-only transactions above never get
+      // here and keep running).
+      if (!attempt_.EnterCommitter(*desc_)) {
+        OnAbort();
+        return false;
       }
       // Unwind guard over the locked region: every early conflict return AND
       // any exception erupting between the first lock CAS and the end of
       // validation (fail-point throw injection — nothing else on this path
-      // throws) runs one release sequence, in OnAbort's mandatory order:
-      // displaced values restored, then the gate flag retracted, then the
-      // serial token released (docs/VALIDATION.md §8).
+      // throws) runs one release sequence: displaced values restored, then the
+      // attempt's gate flag and token (docs/VALIDATION.md §8).
       TxUnwindGuard cleanup([this] {
         if constexpr (kSnapshotMode) {
           // Before the locks restore: a kVersionPublish throw left at most
@@ -245,8 +224,9 @@ class ValFullTm {
         ReleaseLocks();
         OnAbort();
       });
-      unsigned write_stripes =
-          Validation::kPartitioned ? 0u : kAllCounterStripesMask;
+      // The bump mask is gathered inside the lock loop below: a second pass
+      // over the lock log measured ~10% slower on two-word commits.
+      unsigned write_stripes = 0;
       // Request every word exclusive before the first CAS, so the misses
       // overlap instead of each landing while earlier locks are held.
       for (const WriteSet::Entry& e : desc_->wset) {
@@ -254,9 +234,7 @@ class ValFullTm {
       }
       for (const WriteSet::Entry& e : desc_->wset) {
         auto* word = &static_cast<Slot*>(e.addr)->word;
-        if constexpr (Validation::kPartitioned) {
-          write_stripes |= 1u << CounterStripeOf(word);
-        }
+        write_stripes |= StripeBitOf<Validation>(word);
         if (SPECTM_FAILPOINT(failpoint::Site::kLockAcquire)) {
           return false;
         }
@@ -279,14 +257,8 @@ class ValFullTm {
       // crossing committers the one that bumps second fails its skip test below
       // and walks into the other's locks. Under a partitioned policy only the
       // counter stripes this write set touches are bumped.
-      const Word own_idx = Validation::OnWriterCommit(desc_, write_stripes);
-      if constexpr (kStrategic) {
-        ++Probe::Get().summary_publishes;
-        if constexpr (Validation::kPartitioned) {
-          Probe::Get().stripe_bumps +=
-              static_cast<std::uint64_t>(CountStripeBits(write_stripes));
-        }
-      }
+      const Word own_idx =
+          BumpWriterSummary<Validation, Probe>(desc_, write_stripes);
       // Commit-time skip (StrategyState): own bump index == anchor + 1 (or, for
       // policies without a single index, a fresh sample at anchor + 1) proves no
       // foreign writer released a value since the log was last known valid (our
@@ -318,19 +290,23 @@ class ValFullTm {
     // Unwind entry point for the retry loop (and the destructor): finishes an
     // attempt that an exception tore out of the BODY. Value locks are only
     // ever held inside Commit(), which unwinds them internally, so here only
-    // the serial token and the attempt accounting can be outstanding.
-    // Idempotent: after Commit's internal guard already finished the attempt,
-    // this is a no-op. No backoff — like a user abort, a cancel is not
+    // the snapshot pin, the serial token and the attempt accounting can be
+    // outstanding. Idempotent: after Commit already finished the attempt,
+    // nothing is left to release. A failed read deactivates the attempt
+    // without finishing it, so its pin and a token taken at Start() are
+    // released here too. No backoff — like a user abort, a cancel is not
     // contention.
     void AbortForUnwind() {
-      if (!active_) {
-        return;
+      if (desc_ == nullptr) {
+        return;  // never started
       }
-      active_ = false;
       UnpinIfPinned();
-      ReleaseSerialIfHeld();
-      desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/true);
+      if (active_) {
+        active_ = false;
+        attempt_.Unwound(*desc_);
+      } else {
+        attempt_.Release(*desc_);
+      }
     }
 
    private:
@@ -481,51 +457,23 @@ class ValFullTm {
       desc_->val_lock_log.clear();
     }
 
-    // Gate held through the releasing stores (the value store IS the lock
-    // release here), so a draining serial transaction never sees our locks.
-    void ExitGateIfHeld() {
-      if (gated_) {
-        Gate::ExitCommitter(desc_);
-        gated_ = false;
-      }
-    }
-
-    void ReleaseSerialIfHeld() {
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-      }
-    }
-
+    // The gate is held through the releasing stores (the value store IS the
+    // lock release here), so the attempt finishes only after them.
     void OnCommit() {
       UnpinIfPinned();
-      ExitGateIfHeld();
-      desc_->stats.commits.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/false);
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-        Cm::OnSerialCommit(*desc_);
-      } else {
-        Cm::OnOptimisticCommit(*desc_);
-      }
+      attempt_.Committed(*desc_);
     }
 
     void OnAbort() {
       UnpinIfPinned();
-      ExitGateIfHeld();
-      ReleaseSerialIfHeld();  // fail-point aborts can hit a serial attempt
-      desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-      UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-      Cm::NoteAbortBackoff(*desc_);
+      attempt_.Aborted(*desc_);
     }
 
     TxDesc* desc_ = nullptr;
     StratState state_;
+    TxAttempt<ValDomainTag> attempt_;
     bool active_ = false;
     bool user_abort_ = false;
-    bool serial_ = false;  // this attempt holds the serialization token
-    bool gated_ = false;   // this attempt announced itself as a committer
     // Snapshot mode only (dead otherwise): the pinned read stamp, whether the
     // epoch-registry pin is published, whether reads still run through the
     // chains (cleared by the first Write()'s promotion), and the epoch Guard
@@ -537,33 +485,11 @@ class ValFullTm {
     EpochManager::GuardSlot chain_guard_;
   };
 
-  // Convenience retry wrapper: runs `body(tx)` until it commits. Exception
-  // contract (src/tm/txguard.h): a TxCancel thrown anywhere inside the body
-  // aborts the attempt through the ordinary unwind path, then either retries
-  // (Policy::kRetry) or returns false with nothing published (Policy::kAbort).
-  // Any OTHER exception aborts the attempt the same way and rethrows, with
-  // every displaced value restored and the serial token released before the
-  // exception leaves this frame. Returns true iff a body execution committed.
+  // Retry wrapper: runs `body(tx)` until it commits (src/tm/txguard.h
+  // RunAtomically, which also states the exception contract).
   template <typename Body>
   static bool Atomically(Body&& body) {
-    Tx tx;
-    while (true) {
-      try {
-        tx.Start();
-        body(tx);
-        if (tx.Commit()) {
-          return true;
-        }
-      } catch (const TxCancel& cancel) {
-        tx.AbortForUnwind();
-        if (cancel.policy == TxCancel::Policy::kAbort) {
-          return false;
-        }
-      } catch (...) {
-        tx.AbortForUnwind();
-        throw;
-      }
-    }
+    return RunAtomically<Tx>(body);
   }
 
   static TxStats& StatsForCurrentThread() { return DescOf<ValDomainTag>().stats; }

@@ -44,7 +44,6 @@ class ValShortTm {
   using Validation = ValidationT;
   using Slot = ValSlot;
   using Probe = ValProbe<ValDomainTag>;
-  using Cm = SerialCm<ValDomainTag>;
   using Gate = SerialGate<ValDomainTag>;
   static constexpr ValMode kValMode = kMode;
   static constexpr bool kStrategic = Validation::kPrecise;
@@ -227,7 +226,7 @@ class ValShortTm {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
       // Before the stores, while locks are held.
-      [[maybe_unused]] const Word own_idx = BumpWriterSummary();
+      [[maybe_unused]] const Word own_idx = BumpForCommit();
       if constexpr (kSnapshotMode) {
         PublishShortVersions(own_idx);
       }
@@ -236,7 +235,7 @@ class ValShortTm {
         assert((v[i] & kLockBit) == 0 && "val layout reserves bit 0 (use EncodeInt)");
         rw_[i].slot->word.store(v[i], std::memory_order_release);
       }
-      Finish(/*committed=*/true);
+      Finish();
       return true;
     }
 
@@ -263,7 +262,7 @@ class ValShortTm {
           }
         } else {
           unsigned write_stripes = 0;
-          own_idx = BumpWriterSummary(&write_stripes);
+          own_idx = BumpForCommit(&write_stripes);
           ro_ok = state_.TrySkipCommit(own_idx, write_stripes) || ValidateRo();
         }
       } else {
@@ -283,7 +282,7 @@ class ValShortTm {
         assert((v[i] & kLockBit) == 0 && "val layout reserves bit 0 (use EncodeInt)");
         rw_[i].slot->word.store(v[i], std::memory_order_release);
       }
-      Finish(/*committed=*/true);
+      Finish();
       return true;
     }
 
@@ -297,28 +296,12 @@ class ValShortTm {
       if (!unwound_) {
         RestoreDisplacedValues();
       }
-      // Values restored BEFORE the gate exit: a draining serial transaction
-      // must never observe flags at zero while our locks stand.
-      ExitGateIfHeld();
-      ReleaseSerialIfHeld();
-      const bool untouched = rw_.Empty() && ro_.Empty() && valid_;
-      // A still-valid, read-only record being dropped is the paper's normal RO
-      // completion/cleanup pattern ("successful validation serves in the place of
-      // commit"), not contention — keep it out of the abort-rate EWMA that
-      // steers the adaptive engine, while the raw abort statistic keeps its
-      // historical meaning.
-      const bool contention = !(rw_.Empty() && valid_);
+      // Values restored BEFORE the attempt releases its gate flag: a draining
+      // serial transaction must never observe flags at zero while our locks
+      // stand.
+      attempt_.Dropped(*desc_, !rw_.Empty(), !ro_.Empty(), valid_);
       finished_ = true;
       valid_ = false;
-      if (!untouched) {
-        desc_->stats.aborts.fetch_add(1, std::memory_order_relaxed);
-        if (contention) {
-          UpdateAbortEwma(desc_->stats, /*aborted=*/true);
-          // Phase-1 backoff + streak watchdog (the seed retried short
-          // transactions hot; see short_tm.h).
-          Cm::NoteAbortBackoff(*desc_);
-        }
-      }
     }
 
     void Reset() {
@@ -355,14 +338,7 @@ class ValShortTm {
     // bump the writer summary below — concurrent readers' skip anchors
     // depend on it (VALIDATION.md "Serial-irrevocable interop").
     void StartAttempt() {
-      // Health watchdog attempt-start feed (no-op unless SPECTM_HEALTH):
-      // observes foreign serial holds before the escalation decision below.
-      Cm::NoteAttemptStart(*desc_);
-      if (!serial_ && Cm::ShouldEscalate(*desc_)) {
-        Gate::AcquireSerial(desc_);
-        serial_ = true;
-        Cm::NoteEscalated(*desc_);
-      }
+      attempt_.Begin(*desc_);
       if constexpr (kStrategic) {
         state_.StartAttempt(kMode, desc_->stats);
       }
@@ -410,8 +386,7 @@ class ValShortTm {
 #endif
     void UnwindForOverflow() {
       RestoreDisplacedValues();
-      ExitGateIfHeld();
-      ReleaseSerialIfHeld();
+      attempt_.Release(*desc_);
       unwound_ = true;
       valid_ = false;
     }
@@ -429,78 +404,37 @@ class ValShortTm {
           }
         }
       }
-      if (serial_ || gated_) {
-        return true;
-      }
-      if (!Gate::TryEnterCommitter(desc_)) {
+      if (!attempt_.EnterCommitter(*desc_)) {
         valid_ = false;  // token held: fail fast, restart via Abort/Reset
         return false;
       }
-      gated_ = true;
       return true;
     }
 
-    void ExitGateIfHeld() {
-      if (gated_) {
-        Gate::ExitCommitter(desc_);
-        gated_ = false;
-      }
-    }
-
-    void ReleaseSerialIfHeld() {
-      if (serial_) {
-        Gate::ReleaseSerial(desc_);
-        serial_ = false;
-      }
-    }
-
-    // Writer-side summary: bump the commit counter — only the stripes this write
-    // set touches, under a partitioned policy — while all locks are held, before
-    // the releasing stores and before any final commit validation
-    // (valstrategy.h ordering). Returns the writer's own commit index (0 when
-    // the policy has none) and, via `out_stripes`, the bumped stripe mask for
-    // the partitioned commit-skip test. A pure-RO commit (empty RW set)
-    // releases nothing and must not move the counter.
-    Word BumpWriterSummary(unsigned* out_stripes = nullptr) {
+    // Writer-side summary bump (valstrategy.h BumpWriterSummary) while all
+    // locks are held, before the releasing stores and before any final commit
+    // validation. Returns the writer's own commit index (0 when the policy has
+    // none) and, via `out_stripes`, the bumped stripe mask. A pure-RO commit
+    // (empty RW set) releases nothing and must not move the counter.
+    Word BumpForCommit(unsigned* out_stripes = nullptr) {
       if (rw_.Empty()) {
         return 0;
       }
-      ++Probe::Get().summary_publishes;
-      unsigned stripes = kAllCounterStripesMask;
-      if constexpr (Validation::kPartitioned) {
-        stripes = 0;
-        for (const RwEntry& e : rw_) {
-          stripes |= 1u << CounterStripeOf(&e.slot->word);
-        }
-        Probe::Get().stripe_bumps +=
-            static_cast<std::uint64_t>(CountStripeBits(stripes));
-      }
+      const unsigned stripes = WriteStripesOf<Validation>(
+          rw_, [](const RwEntry& e) { return &e.slot->word; });
       if (out_stripes != nullptr) {
         *out_stripes = stripes;
       }
-      return Validation::OnWriterCommit(desc_, stripes);
+      return BumpWriterSummary<Validation, Probe>(desc_, stripes);
     }
 
-    void Finish(bool committed) {
+    // The releasing stores already happened; the gate can drop now (and must
+    // not before — see Abort()).
+    void Finish() {
       UnpinIfPinned();
-      // The releasing stores already happened; the gate can drop now (and
-      // must not before — see Abort()).
-      ExitGateIfHeld();
       finished_ = true;
       valid_ = false;
-      if (committed) {
-        desc_->stats.commits.fetch_add(1, std::memory_order_relaxed);
-        UpdateAbortEwma(desc_->stats, /*aborted=*/false);
-        if (serial_) {
-          Gate::ReleaseSerial(desc_);
-          serial_ = false;
-          Cm::OnSerialCommit(*desc_);
-        } else {
-          Cm::OnOptimisticCommit(*desc_);
-        }
-      } else {
-        ReleaseSerialIfHeld();
-      }
+      attempt_.Committed(*desc_);
     }
 
     // --- MVCC snapshot machinery (compiled only under kSnapshotMode) -------
@@ -578,11 +512,10 @@ class ValShortTm {
     InlineVec<RwEntry, kMaxShortWrites> rw_;
     InlineVec<RoEntry, kMaxShortReads> ro_;
     StratState state_;
+    TxAttempt<ValDomainTag> attempt_;
     bool valid_ = true;
     bool finished_ = false;
     bool unwound_ = false;  // overflow unwind already restored the values
-    bool serial_ = false;   // this attempt holds the serialization token
-    bool gated_ = false;    // this attempt announced itself as a committer
     // Snapshot mode only (dead otherwise): pinned read stamp, pin-published
     // flag, whether reads still run through the chains, and the epoch Guard
     // held for the pin's duration (keeps retired chain nodes' memory alive
@@ -661,11 +594,9 @@ class ValShortTm {
         }
         s->word.store(w, std::memory_order_release);
       });
-      if constexpr (Validation::kPartitioned) {
-        ++Probe::Get().stripe_bumps;
-      }
       [[maybe_unused]] const Word own_idx =
-          Validation::OnWriterCommit(self, 1u << CounterStripeOf(&s->word));
+          BumpWriterSummary<Validation, Probe>(
+              self, StripeBitOf<Validation>(&s->word));
       if constexpr (kSnapshotMode) {
         PublishSingleVersion(s, w, own_idx);
       }
@@ -724,11 +655,9 @@ class ValShortTm {
             }
             s->word.store(w, std::memory_order_release);
           });
-          if constexpr (Validation::kPartitioned) {
-            ++Probe::Get().stripe_bumps;
-          }
           [[maybe_unused]] const Word own_idx =
-              Validation::OnWriterCommit(self, 1u << CounterStripeOf(&s->word));
+              BumpWriterSummary<Validation, Probe>(
+                  self, StripeBitOf<Validation>(&s->word));
           if constexpr (kSnapshotMode) {
             PublishSingleVersion(s, w, own_idx);
           }

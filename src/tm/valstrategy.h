@@ -309,7 +309,58 @@ struct WriterSummary {
     SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
     return idx;
   }
+
+  // The writer entry point of the summary concept, shared with the val
+  // layout's ValidationPolicy classes (val_word.h) so BumpWriterSummary below
+  // drives either.
+  static Word OnWriterCommit(TxDesc* /*self*/, unsigned stripe_mask) {
+    return Bump(stripe_mask);
+  }
 };
+
+// The stripe bit a write to `metadata_word` contributes to a writer's bump
+// mask. Summaries without stripe counters bump their one counter whatever the
+// mask, so they take the all-stripes mask and skip the address arithmetic.
+template <typename SummaryT>
+unsigned StripeBitOf(const void* metadata_word) {
+  if constexpr (SummaryT::kPartitioned) {
+    return 1u << CounterStripeOf(metadata_word);
+  } else {
+    static_cast<void>(metadata_word);
+    return kAllCounterStripesMask;
+  }
+}
+
+// The bump mask of a whole write set; `meta_of(e)` names entry e's metadata
+// word.
+template <typename SummaryT, typename Range, typename MetaOf>
+unsigned WriteStripesOf(const Range& writes, MetaOf meta_of) {
+  if constexpr (SummaryT::kPartitioned) {
+    unsigned mask = 0;
+    for (const auto& e : writes) {
+      mask |= StripeBitOf<SummaryT>(meta_of(e));
+    }
+    return mask;
+  } else {
+    static_cast<void>(writes);
+    static_cast<void>(meta_of);
+    return kAllCounterStripesMask;
+  }
+}
+
+// The writer-summary bump of one committer — full and short commits and
+// single-op writers, on every layout. Runs while every lock of the write set
+// is held, before the commit-time validation and the releasing stores (the
+// ordering argued above). Counts the stripe bumps into ProbeT under a
+// partitioned summary. Returns the writer's own commit index (0 for summaries
+// without one).
+template <typename SummaryT, typename ProbeT>
+Word BumpWriterSummary(TxDesc* self, unsigned stripe_mask) {
+  if constexpr (SummaryT::kPartitioned) {
+    ProbeT::Get().stripe_bumps += static_cast<std::uint64_t>(CountStripeBits(stripe_mask));
+  }
+  return SummaryT::OnWriterCommit(self, stripe_mask);
+}
 
 // Per-(thread, domain) validation instrumentation, mirroring ClockProbe: plain
 // thread-local integers, zero shared-state cost, release-build enabled. Tests and
@@ -324,7 +375,6 @@ struct ValProbe {
     std::uint64_t bloom_skips = 0;
     std::uint64_t validation_walks = 0;   // full read-set walks performed
     std::uint64_t strategy_switches = 0;  // attempts started with a new strategy
-    std::uint64_t summary_publishes = 0;  // writer-side summary bumps
     // Partitioned-NOrec evidence: walks avoided because every READ-occupied
     // stripe counter was stable; writer-side per-stripe counter bumps; and walks
     // a kStripe attempt could not avoid (some read-occupied stripe moved).

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/common/failpoint.h"
 #include "src/epoch/epoch.h"
@@ -163,6 +164,64 @@ TEST_F(ExceptionSafetyTest, TxRunCancelPolicies) {
   EXPECT_FALSE(aborted);
   EXPECT_EQ(DecodeInt(Val::SingleRead(&s)), 4u) << "cancelled attempt leaked";
   ExpectGateClean<Val>();
+}
+
+// A read that meets a lock fails the attempt without finishing it; a body
+// that throws afterwards must still hand back what Start() took: the serial
+// token of an escalated attempt and, in snapshot mode, the snapshot pin that
+// bounds version-chain reclamation.
+template <typename Family>
+void ThrowAfterFailedReadCase() {
+  using Tag = typename Family::DomainTag;
+  static typename Family::Slot a, b;
+  Family::SingleWrite(&a, EncodeInt(1));
+  Family::SingleWrite(&b, EncodeInt(2));
+  SetSerialEscalationStreak(1);
+  TxDesc& desc = DescOf<Tag>();
+  desc.cm_cooldown = 0;
+  SerialCm<Tag>::NoteAbortBackoff(desc);  // streak >= 1: the attempt escalates
+  constexpr bool kVal = std::is_same_v<typename Family::Slot, ValSlot>;
+  TxDesc foreign;
+  std::atomic<Word>* b_meta;
+  if constexpr (kVal) {
+    b_meta = &b.word;
+  } else {
+    b_meta = &Family::Layout::OrecOf(b);
+  }
+  const Word b_old = b_meta->load();
+  b_meta->store(kVal ? MakeValLocked(&foreign) : MakeOrecLocked(&foreign));
+  bool threw = false;
+  try {
+    Family::Full::Atomically([&](typename Family::FullTx& tx) {
+      EXPECT_EQ(SerialGate<Tag>::SerialOwner(), &desc);
+      tx.Write(&a, EncodeInt(5));  // (snapshot mode: leaves the snapshot phase)
+      (void)tx.Read(&b);           // meets the foreign lock
+      EXPECT_FALSE(tx.ok());
+      throw std::runtime_error("user code failure");
+    });
+  } catch (const std::runtime_error&) {
+    threw = true;
+  }
+  b_meta->store(b_old);
+  EXPECT_TRUE(threw);
+  // A leaked token is owned by this very descriptor, so the liveness probe
+  // below would spin on it forever: stop here instead.
+  ASSERT_EQ(SerialGate<Tag>::SerialOwner(), nullptr) << "serial token leaked";
+  ExpectGateClean<Family>();
+  if constexpr (Family::kValMode == ValMode::kSnapshot) {
+    Family::SingleWrite(&a, EncodeInt(6));  // moves the clock past the old pin
+    const Word now = Family::Validation::Sample();
+    EXPECT_EQ(mvcc::MvccEpoch().SnapshotDoneStamp(now), now) << "snapshot pin leaked";
+  }
+  // Optimistic probe: a serial commit here would leave the descriptor in its
+  // escalation cooldown for the tests that follow.
+  SetSerialEscalationStreak(kSerialEscalationStreak);
+  ExpectDomainLive<Family>(&a, EncodeInt(7));
+}
+
+TEST_F(ExceptionSafetyTest, ThrowAfterFailedReadOrec) { ThrowAfterFailedReadCase<OrecL>(); }
+TEST_F(ExceptionSafetyTest, ThrowAfterFailedReadSnapshot) {
+  ThrowAfterFailedReadCase<ValSnap>();
 }
 
 #if defined(SPECTM_FAILPOINTS)
