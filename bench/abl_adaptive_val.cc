@@ -1,8 +1,9 @@
-// Adaptive validation engine ablation (valstrategy.h): fixed strategies
-// (incremental / counter-skip) vs the EWMA-adaptive engine, on the two
-// layouts whose full transactions pay per-read O(read-set) revalidation — the
-// local-clock orec family (§4.1's "-l" cost) and the counter-validated val layout
-// (Figure 5's dominant cost).
+// Validation-strategy ablation (valstrategy.h): the incremental walk vs the
+// counter skip, each fixed per family at compile time, on the two layouts whose
+// full transactions pay per-read O(read-set) revalidation — the local-clock orec
+// family (§4.1's "-l" cost) and the counter-validated val layout (Figure 5's
+// dominant cost). These cells are the evidence behind each family's fixed
+// strategy (docs/ARCHITECTURE.md).
 //
 // Three workloads over a hash table with deliberately long chains (1024 buckets,
 // 16k keys => ~8-node chains, so full-transaction read sets are large enough for
@@ -11,13 +12,12 @@
 //                always-incremental" acceptance sweep
 //   write-heavy  10% lookups — constant counter movement
 //   phase-shift  alternating 25 ms RO bursts (95% lookups) and RW bursts (5%) —
-//                the workload the EWMA switch exists for
+//                both mixes in one cell
 //
 // Besides the multi-threaded throughput cells, each (family, strategy) row runs
 // a deterministic single-threaded probe pass (see MeasureProbes) whose ValProbe
 // deltas are emitted as evidence columns: counter_skips / validation_walks
-// prove the row's mechanism actually fires, and the adaptive
-// rows additionally prove the EWMA switch transitions (strategy_switches > 0).
+// prove the row's mechanism actually fires.
 //
 // Output: text tables plus BENCH_adaptive_val.json (override with --json <path>
 // or SPECTM_BENCH_JSON) through the standard JSON pipeline (bench/README.md).
@@ -64,8 +64,8 @@ int PhaseLookupPct(std::chrono::steady_clock::time_point start) {
 
 // One timed cell for the phase-shifting workload: every worker flips between the
 // RO and RW mixes on a shared wall-clock schedule (re-checked every 32 ops), so
-// all threads burst together and the abort-rate EWMA actually sees phases. The
-// cell machinery itself is the shared MeasureCellWithMix.
+// all threads burst together. The cell machinery itself is the shared
+// MeasureCellWithMix.
 template <typename MakeSet>
 bench::CellResult MeasurePhaseCell(const MakeSet& make_set, const WorkloadConfig& cfg,
                                    int threads) {
@@ -83,20 +83,17 @@ bench::CellResult MeasurePhaseCell(const MakeSet& make_set, const WorkloadConfig
 struct ProbeDeltas {
   std::uint64_t counter_skips = 0;
   std::uint64_t validation_walks = 0;
-  std::uint64_t strategy_switches = 0;
 };
 
 // Deterministic probe pass (ValProbe counters are thread-local, so the timed
-// cells' worker counts are unreachable — and on a 1-core container, scheduler-
-// driven interleaving makes probabilistic evidence flaky). Each step exercises
+// cells' worker counts are unreachable, and scheduler-driven interleaving makes
+// probabilistic evidence flaky). Each step exercises
 // one mechanism the columns claim, exactly like the unit tests do:
 //   1. a quiet multi-read transaction  -> counter_skips (stable-counter skip)
 //   2. a single-op write to another slot between two reads -> the counter
 //      moved, so every strategy walks (validation_walks)
-//   3. (adaptive rows) an abort burst then a quiet run -> the EWMA crosses its
-//      band and strategy_switches records the transitions
 template <typename Family>
-ProbeDeltas MeasureProbes(bool adaptive_transitions) {
+ProbeDeltas MeasureProbes() {
   using Probe = typename Family::Full::Probe;
   using FullTx = typename Family::FullTx;
   std::vector<typename Family::Slot> pool(3);
@@ -128,33 +125,11 @@ ProbeDeltas MeasureProbes(bool adaptive_transitions) {
       tx.Read(b);
     } while (!tx.Commit());
   }
-  // (3) EWMA band crossings: user aborts are genuine abort-EWMA events, so a
-  // burst of them walks the adaptive engine into the incremental band and a
-  // quiet commit run decays it back to counter-skip — each band edge crossed at
-  // a Start() records a strategy switch.
-  if (adaptive_transitions) {
-    for (int i = 0; i < 64; ++i) {
-      FullTx tx;
-      tx.Start();
-      tx.Read(a);
-      tx.AbortTx();
-      tx.Commit();
-    }
-    for (int i = 0; i < 256; ++i) {
-      FullTx tx;
-      do {
-        tx.Start();
-        tx.Read(a);
-      } while (!tx.Commit());
-    }
-  }
   const typename Probe::Counters end_counters = Probe::Get();
 
   ProbeDeltas d;
   d.counter_skips = end_counters.counter_skips - start_counters.counter_skips;
   d.validation_walks = end_counters.validation_walks - start_counters.validation_walks;
-  d.strategy_switches =
-      end_counters.strategy_switches - start_counters.strategy_switches;
   return d;
 }
 
@@ -181,7 +156,7 @@ Row MeasureFamily(const char* strategy, const WorkloadSpec& wl, int threads) {
   // mark its probes absent instead.
   row.has_probes = Family::kValMode != ValMode::kPassive;
   if (row.has_probes) {
-    row.probes = MeasureProbes<Family>(std::string(strategy) == "adaptive");
+    row.probes = MeasureProbes<Family>();
   }
   return row;
 }
@@ -190,8 +165,7 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
                const WorkloadSpec& wl, int threads, const std::vector<Row>& rows) {
   std::printf("\n%s — %s (hash table, %zu buckets, %llu keys, %d threads)\n", variant,
               wl.name, kBuckets, static_cast<unsigned long long>(kKeyRange), threads);
-  TextTable table({"strategy", "Mops/s", "abort%", "ctr-skips", "walks",
-                   "strat-switches"});
+  TextTable table({"strategy", "Mops/s", "abort%", "ctr-skips", "walks"});
   for (const Row& row : rows) {
     BenchRecord r;
     r.variant = variant;
@@ -208,7 +182,6 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
     r.has_probes = row.has_probes;
     r.counter_skips = row.probes.counter_skips;
     r.validation_walks = row.probes.validation_walks;
-    r.strategy_switches = row.probes.strategy_switches;
     report.Add(r);
 
     auto probe_cell = [&](std::uint64_t v) {
@@ -217,8 +190,7 @@ void EmitGroup(JsonReport& report, const char* variant, const char* clock,
     table.AddRow({row.strategy, TextTable::Num(row.result.ops_per_sec / 1e6, 3),
                   TextTable::Num(row.result.abort_rate * 100.0, 2),
                   probe_cell(row.probes.counter_skips),
-                  probe_cell(row.probes.validation_walks),
-                  probe_cell(row.probes.strategy_switches)});
+                  probe_cell(row.probes.validation_walks)});
   }
   std::fputs(table.ToString().c_str(), stdout);
 }
@@ -253,8 +225,8 @@ struct PathCell {
 };
 
 PathCell RunPathologicalPass(bool escalation_on) {
-  using F = OrecLAdaptive;
-  using Tag = OrecLAdaptTag;
+  using F = OrecLCounterSkip;
+  using Tag = OrecLCounterTag;
   using Probe = CmProbe<Tag>;
 
   SetSerialEscalationStreak(escalation_on ? kSerialEscalationStreak : 0);
@@ -398,14 +370,12 @@ bool Run(const std::string& json_path) {
     orec_rows.push_back(MeasureFamily<OrecL>("incremental", wl, max_threads));
     orec_rows.push_back(
         MeasureFamily<OrecLCounterSkip>("counter-skip", wl, max_threads));
-    orec_rows.push_back(MeasureFamily<OrecLAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "orec-full-l", "local", wl, max_threads, orec_rows);
 
     // Counter-validated val layout: same strategy sweep over one protocol.
     std::vector<Row> val_rows;
     val_rows.push_back(MeasureFamily<ValIncremental>("incremental", wl, max_threads));
     val_rows.push_back(MeasureFamily<ValCounterSkip>("counter-skip", wl, max_threads));
-    val_rows.push_back(MeasureFamily<ValAdaptive>("adaptive", wl, max_threads));
     EmitGroup(report, "val-full", "none", wl, max_threads, val_rows);
   }
 

@@ -398,8 +398,6 @@ void RunSnapshotCell(JsonReport& report, TextTable& table, int scan_width,
   r.counter_skips = probe_after.counter_skips - probe_before.counter_skips;
   r.validation_walks =
       probe_after.validation_walks - probe_before.validation_walks;
-  r.strategy_switches =
-      probe_after.strategy_switches - probe_before.strategy_switches;
   r.has_mvcc = true;
   r.snapshot_reads = probe_after.snapshot_reads - probe_before.snapshot_reads;
   r.version_hops = probe_after.version_hops - probe_before.version_hops;

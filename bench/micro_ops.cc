@@ -128,8 +128,6 @@ bool Run(const std::string& json_path) {
   MeasureFamily<TvarG>("tvar-g", /*short_api=*/true, cells);
   MeasureFamily<TvarL>("tvar-l", /*short_api=*/true, cells);
   MeasureFamily<Val>("val", /*short_api=*/true, cells);
-  MeasureFamily<ValAdaptive>("val-adaptive", /*short_api=*/true, cells);
-  MeasureFamily<OrecLAdaptive>("orec-l-adaptive", /*short_api=*/true, cells);
 
   std::printf("\nMicro-op throughput, single thread (Mops/s)\n");
   TextTable table({"family", "single-read", "single-cas", "short-rw2", "short-ro2",

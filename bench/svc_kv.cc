@@ -259,7 +259,6 @@ void RunStripeProbe(JsonReport& report, TextTable& table) {
   r.has_probes = true;
   r.counter_skips = after.counter_skips - before.counter_skips;
   r.validation_walks = after.validation_walks - before.validation_walks;
-  r.strategy_switches = after.strategy_switches - before.strategy_switches;
   r.has_stripes = true;
   r.stripe_skips = after.stripe_skips - before.stripe_skips;
   r.stripe_bumps = after.stripe_bumps - before.stripe_bumps;

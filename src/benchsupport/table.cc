@@ -129,8 +129,7 @@ std::string JsonReport::ToJson() const {
         << "\"duration_s\": " << JsonNum(r.duration_s);
     if (r.has_probes) {
       out << ", \"counter_skips\": " << r.counter_skips
-          << ", \"validation_walks\": " << r.validation_walks
-          << ", \"strategy_switches\": " << r.strategy_switches;
+          << ", \"validation_walks\": " << r.validation_walks;
     }
     if (r.has_layout) {
       out << ", \"layout\": \"" << Escape(r.layout) << "\""

@@ -43,11 +43,10 @@ struct BenchRecord {
   double duration_s = 0.0;    // total measured wall time across the cell's runs
 
   std::string workload;   // e.g. "read-heavy" / "write-heavy" / "phase-shift"
-  std::string strategy;   // validation strategy: fixed name or "adaptive"
+  std::string strategy;   // validation strategy, e.g. "counter-skip"
   bool has_probes = false;              // when true, the probe fields are emitted
   std::uint64_t counter_skips = 0;      // ValProbe: walks avoided by stable counter
   std::uint64_t validation_walks = 0;   // ValProbe: full read-set walks
-  std::uint64_t strategy_switches = 0;  // ValProbe: strategy transitions observed
 
   // Metadata-layout sweep extensions (bench/abl_readset_layout): emitted only
   // when has_layout is set, so every earlier BENCH_*.json stays byte-stable.

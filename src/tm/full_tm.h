@@ -55,11 +55,11 @@
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into the adaptive validation engine:
-// writers then bump the domain's WriterSummary (commit counter, plus the stripe
-// counters under kPartitioned) while holding their commit locks, and local-clock
-// readers use it to skip the otherwise per-read O(read-set) revalidation (§4.1's
-// "-l" cost). kPassive is the zero-overhead default: no summary, the seed's
+// kMode (valstrategy.h) opts the family into a validation strategy, fixed at
+// compile time: writers then bump the domain's WriterSummary (commit counter,
+// plus the stripe counters under kPartitioned) while holding their commit
+// locks, and local-clock readers use it to skip the otherwise per-read
+// O(read-set) revalidation (§4.1's "-l" cost). kPassive is the zero-overhead default: no summary, the seed's
 // exact behavior.
 template <typename LayoutT, typename ClockT, typename DomainTag,
           ValMode kMode = ValMode::kPassive>
@@ -73,6 +73,7 @@ class FullTm {
   using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
   using Probe = ValProbe<DomainTag>;
   static constexpr ValMode kValMode = kMode;
+  using StratState = StrategyState<Summary, Probe, kMode>;
   // Reader-side strategy only pays off where per-read revalidation exists: the
   // local-clock families. Global-clock readers keep rv-sampling + extension.
   static constexpr bool kStrategicReads =
@@ -103,11 +104,10 @@ class FullTm {
         rv_ = Clock::Sample();
       }
       if constexpr (kStrategicReads) {
-        // Strategy choice + probe tick + anchor, shared across engines
-        // (StrategyState): the anchor is drawn before the first read, so the
-        // skip argument's "every entry admitted no earlier than the sample it
-        // is judged against" holds for the whole attempt.
-        state_.StartAttempt(kMode, desc_->stats);
+        // Anchor drawn before the first read (StrategyState), so the skip
+        // argument's "every entry admitted no earlier than the sample it is
+        // judged against" holds for the whole attempt.
+        state_.StartAttempt();
       }
     }
 
@@ -180,8 +180,7 @@ class FullTm {
           if (desc_->read_log.Size() > 1) {
             bool ok;
             if constexpr (kStrategicReads) {
-              if (state_.TrySkipRead(&desc_->stats) ==
-                  StratState::ReadSkip::kSkipped) {
+              if (state_.TrySkipRead() == StratState::ReadSkip::kSkipped) {
                 ok = true;
               } else {
                 // Tracked walk must cover the FULL log, tail included: it
@@ -324,8 +323,6 @@ class FullTm {
     }
 
    private:
-    using StratState = StrategyState<Summary, Probe>;
-
     Word Fail() {
       active_ = false;
       return 0;

@@ -33,8 +33,8 @@
 //
 // Hysteresis: a serial commit starts a cooldown of kSerialCooldownCommits
 // optimistic commits during which the escalation threshold is doubled, so one
-// contention storm does not pin the system serial (mirrors the GV6 / adaptive
-// strategy dead-band pattern).
+// contention storm does not pin the system serial (mirrors the GV6 clock's
+// dead-band pattern).
 #ifndef SPECTM_TM_SERIAL_H_
 #define SPECTM_TM_SERIAL_H_
 
@@ -453,7 +453,7 @@ class TxAttempt {
   // the lock-step livelock the two-phase manager exists to break). A
   // still-valid read-only record is the paper's normal RO completion
   // ("successful validation serves in the place of commit"): it counts an
-  // abort but stays out of the EWMA that steers the adaptive engine and out of
+  // abort but stays out of the abort EWMA (read by the GV6 clock) and out of
   // the backoff. A record that never read is no attempt at all.
   void Dropped(TxDesc& desc, bool locked, bool read, bool valid) {
     if (locked || !valid) {

@@ -44,9 +44,9 @@
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into the adaptive validation engine: RW
-// commits and single-op writers bump the domain's WriterSummary while holding their
-// orec locks, and RO readers carry a persistent counter sample so an unchanged
+// kMode (valstrategy.h) opts the family into a validation strategy, fixed at
+// compile time: RW commits and single-op writers bump the domain's WriterSummary
+// while holding their orec locks, and RO readers carry a persistent counter sample so an unchanged
 // counter (or, under kPartitioned, unchanged read-occupied stripes) skips the
 // per-read RO-prefix revalidation.
 // kPassive is the zero-overhead default: no summary, the seed's exact behavior.
@@ -64,6 +64,7 @@ class ShortTm {
   using Gate = SerialGate<DomainTag>;
   static constexpr ValMode kValMode = kMode;
   static constexpr bool kStrategic = kMode != ValMode::kPassive;
+  using StratState = StrategyState<Summary, Probe, kMode>;
 
   // The TX_RECORD of Figure 2: stack-allocated, fixed-size, reusable after Abort().
   class ShortTx {
@@ -184,8 +185,7 @@ class ShortTm {
           const bool first_ro = ro_.Empty();
           ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
           if (!first_ro &&
-              state_.TrySkipRead(&desc_->stats) ==
-                  StratState::ReadSkip::kMustWalk) {
+              state_.TrySkipRead() == StratState::ReadSkip::kMustWalk) {
             prefix_ok = ValidateRoPrefixTracked(ro_.Size());
           }
         } else {
@@ -211,9 +211,7 @@ class ShortTm {
     // in the place of commit").
     bool ValidateRo() const {
       if constexpr (kStrategic) {
-        // No EWMA feedback here (nullptr): the final validate is not a per-read
-        // skip opportunity the adaptive engine should learn from.
-        if (state_.TrySkipRead(nullptr) == StratState::ReadSkip::kSkipped) {
+        if (state_.TrySkipRead() == StratState::ReadSkip::kSkipped) {
           return true;
         }
         return ValidateRoPrefixTracked(ro_.Size());
@@ -370,15 +368,15 @@ class ShortTm {
     // genuine displaced orec word, which is always an even version.
     static constexpr Word kAlreadyOwned = ~Word{0};
 
-    // Re-arms the strategy state for a fresh attempt (StrategyState: choose +
-    // probe tick + anchor drawn BEFORE any read — the skip soundness argument
-    // needs the sample no later than the first read). Also the escalation
-    // checkpoint: past the (hysteretic) abort-streak threshold this attempt
-    // takes the serialization token up front and cannot conflict thereafter.
+    // Re-arms the strategy state for a fresh attempt (StrategyState: anchor
+    // drawn BEFORE any read — the skip soundness argument needs the sample no
+    // later than the first read). Also the escalation checkpoint: past the
+    // (hysteretic) abort-streak threshold this attempt takes the serialization
+    // token up front and cannot conflict thereafter.
     void StartAttempt() {
       attempt_.Begin(*desc_);
       if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, desc_->stats);
+        state_.StartAttempt();
       }
     }
 
@@ -491,8 +489,6 @@ class ShortTm {
       valid_ = false;
       attempt_.Committed(*desc_);
     }
-
-    using StratState = StrategyState<Summary, Probe>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;

@@ -38,12 +38,6 @@ struct TxStats {
   std::atomic<std::uint64_t> commits{0};
   std::atomic<std::uint64_t> aborts{0};
   std::atomic<std::uint32_t> abort_ewma_q16{0};
-  // Validation-skip efficacy EWMA (Q16): fraction of recent skip-eligible
-  // validation events that a counter/stripe skip actually absorbed. Starts
-  // optimistic so fresh descriptors try the cheap strategies first; decays when
-  // the domain's write traffic defeats them, steering the adaptive engine back
-  // to the plain incremental walk.
-  std::atomic<std::uint32_t> skip_ewma_q16{65536u};
   // High-water mark of the consecutive-abort streak (Backoff::attempts()).
   // Written by the owner via SerialCm::NoteAbortBackoff; rolled up by
   // TxStatsRegistry so benches can report the worst streak a cell produced
@@ -53,8 +47,8 @@ struct TxStats {
 
 // EWMA smoothing: alpha = 1/16 per transaction outcome. ~16 outcomes to move
 // half-way toward a new steady state — fast enough to track workload phase shifts
-// (the adaptive validation engine re-reads it at every transaction start), slow
-// enough not to flap on a single unlucky abort.
+// (the GV6 clock re-reads it at every draw), slow enough not to flap on a single
+// unlucky abort.
 inline constexpr int kAbortEwmaShift = 4;
 
 inline void UpdateAbortEwma(TxStats& stats, bool aborted) {
@@ -72,21 +66,6 @@ inline void UpdateAbortEwma(TxStats& stats, bool aborted) {
 
 inline std::uint32_t AbortEwmaQ16(const TxStats& stats) {
   return stats.abort_ewma_q16.load(std::memory_order_relaxed);
-}
-
-inline void UpdateSkipEwma(TxStats& stats, bool skipped) {
-  const std::uint32_t ewma = stats.skip_ewma_q16.load(std::memory_order_relaxed);
-  std::uint32_t next;
-  if (skipped) {
-    next = ewma + ((65536u - ewma) >> kAbortEwmaShift);
-  } else {
-    next = ewma - ((ewma + (1u << kAbortEwmaShift) - 1) >> kAbortEwmaShift);
-  }
-  stats.skip_ewma_q16.store(next, std::memory_order_relaxed);
-}
-
-inline std::uint32_t SkipEwmaQ16(const TxStats& stats) {
-  return stats.skip_ewma_q16.load(std::memory_order_relaxed);
 }
 
 // Process-wide roll-up of every live descriptor's statistics, for tests and the

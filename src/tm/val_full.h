@@ -20,8 +20,8 @@
 //
 // The per-read revalidation is strategy-driven (valstrategy.h StrategyState): the
 // default kCounterSkip mode reproduces the classic NOrec skip; kPartitioned
-// skips on stable read-occupied stripes (needs a kPartitioned policy); kAdaptive
-// re-picks per attempt from the descriptor's abort-rate EWMA. Non-precise policies always walk.
+// skips on stable read-occupied stripes (needs a kPartitioned policy);
+// kIncremental always walks. Non-precise policies always walk.
 #ifndef SPECTM_TM_VAL_FULL_H_
 #define SPECTM_TM_VAL_FULL_H_
 
@@ -54,6 +54,9 @@ class ValFullTm {
   // Strategy machinery only matters when the counter is precise; otherwise every
   // path degenerates to the incremental walk and the extra state is dead.
   static constexpr bool kStrategic = Validation::kPrecise;
+  // A counter that does not track commits proves nothing: such policies walk.
+  using StratState = StrategyState<Validation, Probe,
+                                   kStrategic ? kMode : ValMode::kIncremental>;
   // MVCC snapshot mode (PR 9): reads run at a pinned snapshot through the
   // version chains until the first Write() promotes the attempt, and commits
   // publish displaced values (src/tm/mvcc.h). Everything it adds compiles out
@@ -85,11 +88,9 @@ class ValFullTm {
       // commit still bumps the writer summary — concurrent READERS keep
       // validating against it (VALIDATION.md "Serial-irrevocable interop").
       attempt_.Begin(*desc_);
-      if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, desc_->stats);
-      } else {
-        state_.Anchor();  // sample kept current for ValidateReads' re-anchor
-      }
+      // Non-precise policies keep the sample current for ValidateReads'
+      // re-anchor all the same.
+      state_.StartAttempt();
       if constexpr (kSnapshotMode) {
         // Pin-then-sample (two-step, epoch.h): the done-stamp scan either
         // sees the pending pin and reclaims nothing, or ran wholly before it
@@ -150,8 +151,7 @@ class ValFullTm {
       //     stripe this read set occupies is unchanged.
       if (desc_->val_read_log.Size() > 1) {
         if constexpr (kStrategic) {
-          if (state_.TrySkipRead(&desc_->stats) ==
-              StratState::ReadSkip::kSkipped) {
+          if (state_.TrySkipRead() == StratState::ReadSkip::kSkipped) {
             return w;
           }
         }
@@ -310,8 +310,6 @@ class ValFullTm {
     }
 
    private:
-    using StratState = StrategyState<Validation, Probe>;
-
     Word Fail() {
       active_ = false;
       return 0;

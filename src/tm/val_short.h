@@ -47,6 +47,9 @@ class ValShortTm {
   using Gate = SerialGate<ValDomainTag>;
   static constexpr ValMode kValMode = kMode;
   static constexpr bool kStrategic = Validation::kPrecise;
+  // A counter that does not track commits proves nothing: such policies walk.
+  using StratState = StrategyState<Validation, Probe,
+                                   kStrategic ? kMode : ValMode::kIncremental>;
   static constexpr bool kSnapshotMode = kMode == ValMode::kSnapshot;
   static_assert(!kSnapshotMode || Validation::kMvcc,
                 "ValMode::kSnapshot requires a kMvcc validation policy");
@@ -145,8 +148,7 @@ class ValShortTm {
         // join a still-valid snapshot.
         bool ok;
         if constexpr (kStrategic) {
-          ok = state_.TrySkipRead(&desc_->stats) ==
-                   StratState::ReadSkip::kSkipped ||
+          ok = state_.TrySkipRead() == StratState::ReadSkip::kSkipped ||
                ValidateRo();
         } else {
           ok = ValidateRo();
@@ -330,17 +332,17 @@ class ValShortTm {
       bool upgraded;
     };
 
-    // Re-arms the strategy state for a fresh attempt (StrategyState: choose +
-    // probe tick + anchor drawn BEFORE any read — the skip soundness argument
-    // needs the sample no later than the first read). Also the escalation
-    // checkpoint (src/tm/serial.h): past the hysteretic abort-streak threshold
+    // Re-arms the strategy state for a fresh attempt (StrategyState: anchor
+    // drawn BEFORE any read — the skip soundness argument needs the sample no
+    // later than the first read). Also the escalation checkpoint
+    // (src/tm/serial.h): past the hysteretic abort-streak threshold
     // the attempt takes the serialization token up front. Serial commits still
     // bump the writer summary below — concurrent readers' skip anchors
     // depend on it (VALIDATION.md "Serial-irrevocable interop").
     void StartAttempt() {
       attempt_.Begin(*desc_);
       if constexpr (kStrategic) {
-        state_.StartAttempt(kMode, desc_->stats);
+        state_.StartAttempt();
       }
       if constexpr (kSnapshotMode) {
         // Two-step pin (epoch.h): announce intent, sample, publish — the
@@ -505,8 +507,6 @@ class ValShortTm {
         }
       }
     }
-
-    using StratState = StrategyState<Validation, Probe>;
 
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;

@@ -1,10 +1,10 @@
-// Adaptive validation engine: the machinery that turns per-read revalidation cost
-// from a fixed property of a TM family into a runtime choice.
+// Validation strategies: the machinery that cuts per-read revalidation cost for
+// the families that opt in, each with one strategy fixed when the family is built.
 //
 // The paper's local-clock and value-based variants pay O(read-set) revalidation on
 // every read to preserve opacity (§4.1, Figure 5) — the cost behind the Figs 7–9
-// crossovers. No single remedy wins across workloads, so engines that opt in pick
-// a strategy per attempt, driven by the descriptor's abort-rate EWMA (txdesc.h):
+// crossovers. A family's ValMode names its remedy, and StrategyState resolves it
+// at compile time (StrategyFor below) to one of:
 //
 //   kCounterSkip — NOrec's precise-counter skip: a domain-wide commit counter that
 //     every writer bumps while holding its locks, before its releasing stores.
@@ -13,8 +13,7 @@
 //     Cheapest when writer commits are rare relative to this thread's reads.
 //
 //   kIncremental — the paper's baseline: walk the read set, no shared-counter
-//     reliance. The fallback when contention is high enough that the counter
-//     has almost always moved and the walk happens anyway.
+//     reliance.
 //
 //   kStripe (partitioned NOrec, ValMode::kPartitioned) — the commit counter is
 //     SHARDED into kCounterStripes cache-line-separated per-stripe counters keyed
@@ -26,16 +25,9 @@
 //     committers) lives in docs/VALIDATION.md.
 //
 // The skip ladder is two steps: a stable counter (or, under kStripe, stable
-// read-occupied stripes) skips the walk; anything else walks.
-//
-// Strategy choice (kAdaptive) is re-evaluated from the EWMA at every transaction
-// start: low abort rate -> counter-skip, high -> incremental. The band edge is
-// HYSTERETIC (same enter/exit dead-band pattern as the GV6 clock flip in
-// clock.h): moving to incremental uses the enter threshold, moving back requires
-// the EWMA to fall through a lower exit threshold, so a border workload whose
-// EWMA wiggles around one edge does not alternate strategies on every outcome.
-// Fixed modes exist for ablation benches (bench/abl_adaptive_val) so the adaptive
-// engine can be measured against every fixed point it switches between.
+// read-occupied stripes) skips the walk; anything else walks. Which families
+// run which strategy, and the bench cell behind each choice, is tabulated in
+// docs/ARCHITECTURE.md.
 //
 // Soundness of the skip paths (NOrec discipline):
 //   * Writer protocol: acquire ALL commit locks, bump, validate (or skip), only
@@ -89,7 +81,6 @@ enum class ValMode : std::uint8_t {
   kPassive,
   kIncremental,
   kCounterSkip,
-  kAdaptive,
   kPartitioned,
   // MVCC (PR 9): read-only transactions pin a snapshot stamp and read through
   // the version chains (src/tm/mvcc.h) — no sandwiching, no walks, no aborts;
@@ -98,63 +89,15 @@ enum class ValMode : std::uint8_t {
   kSnapshot,
 };
 
-// The strategy a transaction attempt actually runs with (kAdaptive resolves to one
-// of these at Start(); kStripe is the partitioned-NOrec per-stripe skip).
+// The strategy a family's transactions run with (kStripe is the
+// partitioned-NOrec per-stripe skip).
 enum class ValStrategy : std::uint8_t { kIncremental, kCounterSkip, kStripe };
 
-inline const char* ValStrategyName(ValStrategy s) {
-  switch (s) {
-    case ValStrategy::kIncremental:
-      return "incremental";
-    case ValStrategy::kCounterSkip:
-      return "counter-skip";
-    case ValStrategy::kStripe:
-      return "partitioned";
-  }
-  return "?";
-}
-
-// EWMA thresholds for the adaptive choice, Q16 (65536 = 100% abort rate). Below
-// the band the bare counter skip almost always fires; at or above it walks
-// happen regardless, so the summary is not worth consulting.
-//
-// The edge is a hysteresis PAIR (the GV6 clock.h pattern): crossing the enter
-// threshold upward moves to incremental; only falling below the exit threshold
-// moves back. Inside the dead band the previous choice sticks, so a border
-// workload's EWMA noise cannot alternate strategies per attempt
-// (ValProbe::strategy_switches pins the damping).
-inline constexpr std::uint32_t kEwmaWalkEnterQ16 = 1u << 14;  // 25%: enter incremental
-inline constexpr std::uint32_t kEwmaWalkExitQ16 = 1u << 13;   // 12.5%: back to counter-skip
-static_assert(kEwmaWalkExitQ16 < kEwmaWalkEnterQ16,
-              "the dead band must be non-empty or the hysteresis degenerates to "
-              "single-threshold flapping");
-
-// Below this skip-efficacy EWMA (txdesc.h) the adaptive engine stops paying for
-// skip attempts: when the domain's write traffic moves the counter between
-// almost every pair of reads, the skip checks are pure overhead on top of the
-// walk that happens anyway, and plain incremental is the better fixed point.
-// Re-enabling skips requires the efficacy to recover through the higher
-// kSkipEwmaRecoverQ16 (hysteresis, as with the abort bands).
-inline constexpr std::uint32_t kSkipEwmaMinQ16 = 1u << 13;      // 12.5%: stop skipping
-inline constexpr std::uint32_t kSkipEwmaRecoverQ16 = 1u << 14;  // 25%: resume skipping
-static_assert(kSkipEwmaMinQ16 < kSkipEwmaRecoverQ16,
-              "the efficacy dead band must be non-empty");
-
-// In the incremental-because-skips-don't-pay regime the efficacy EWMA would
-// freeze (no skip attempts -> no updates), so every N-th attempt probes a skip
-// strategy anyway to notice when the workload turns quiet again.
-inline constexpr std::uint32_t kSkipProbePeriod = 16;
-
-// Strategy choice for a new attempt. Without history (`has_prev` false) the
-// plain enter thresholds apply — the memoryless mapping the band tests pin.
-// With history, the previous attempt's strategy supplies the hysteresis state:
-// moving toward incremental needs the enter edge, moving back the exit edge.
-// kPartitioned is a fixed mode resolving to kStripe; StrategyState clamps it to
-// kCounterSkip at compile time when the family's summary has no stripe counters.
-inline ValStrategy ChooseStrategy(ValMode mode, std::uint32_t abort_ewma_q16,
-                                  std::uint32_t skip_ewma_q16 = 65536u,
-                                  bool has_prev = false,
-                                  ValStrategy prev = ValStrategy::kIncremental) {
+// The compile-time mapping from a family's mode to its strategy. The stripe
+// modes fall back to the whole counter when the family's summary shards
+// nothing. kSnapshot names the read-write side: read-only work never reaches
+// a strategy at all (chain reads).
+constexpr ValStrategy StrategyFor(ValMode mode, bool partitioned_summary) {
   switch (mode) {
     case ValMode::kPassive:
     case ValMode::kIncremental:
@@ -162,24 +105,8 @@ inline ValStrategy ChooseStrategy(ValMode mode, std::uint32_t abort_ewma_q16,
     case ValMode::kCounterSkip:
       return ValStrategy::kCounterSkip;
     case ValMode::kPartitioned:
-      return ValStrategy::kStripe;
     case ValMode::kSnapshot:
-      // Read-only work never reaches a strategy at all (chain reads); this is
-      // the read-write side, which keeps the per-stripe precise protocol.
-      return ValStrategy::kStripe;
-    case ValMode::kAdaptive: {
-      // Both gates key their hysteresis off whether the engine was walking:
-      // once it fell back, skips must prove themselves through the recover
-      // threshold and the abort EWMA must fall through the exit edge before
-      // they are paid for again. A fresh descriptor starts on the skip side.
-      const bool was_walking = has_prev && prev == ValStrategy::kIncremental;
-      if (skip_ewma_q16 < (was_walking ? kSkipEwmaRecoverQ16 : kSkipEwmaMinQ16)) {
-        return ValStrategy::kIncremental;  // skips are not paying for themselves
-      }
-      const std::uint32_t edge = was_walking ? kEwmaWalkExitQ16 : kEwmaWalkEnterQ16;
-      return abort_ewma_q16 >= edge ? ValStrategy::kIncremental
-                                    : ValStrategy::kCounterSkip;
-    }
+      return partitioned_summary ? ValStrategy::kStripe : ValStrategy::kCounterSkip;
   }
   return ValStrategy::kIncremental;
 }
@@ -364,8 +291,8 @@ Word BumpWriterSummary(TxDesc* self, unsigned stripe_mask) {
 
 // Per-(thread, domain) validation instrumentation, mirroring ClockProbe: plain
 // thread-local integers, zero shared-state cost, release-build enabled. Tests and
-// benches use these to prove the hot-path claims (counter skips firing, the EWMA
-// switch actually transitioning strategy).
+// benches use these to prove the hot-path claims (counter and stripe skips
+// firing, walks avoided).
 template <typename DomainTag>
 struct ValProbe {
   struct Counters {
@@ -374,7 +301,6 @@ struct ValProbe {
     // harness still reads the field; drop both together.
     std::uint64_t bloom_skips = 0;
     std::uint64_t validation_walks = 0;   // full read-set walks performed
-    std::uint64_t strategy_switches = 0;  // attempts started with a new strategy
     // Partitioned-NOrec evidence: walks avoided because every READ-occupied
     // stripe counter was stable; writer-side per-stripe counter bumps; and walks
     // a kStripe attempt could not avoid (some read-occupied stripe moved).
@@ -395,42 +321,20 @@ struct ValProbe {
     std::uint64_t version_hops = 0;
     std::uint64_t versions_retired = 0;
     std::uint64_t chain_splices = 0;
-    // Not counters: the strategy the last attempt started with (for tests) and
-    // the attempt tick driving the periodic skip-efficacy probe.
-    ValStrategy last_strategy = ValStrategy::kIncremental;
-    bool has_strategy = false;
-    std::uint32_t attempt_tick = 0;
-    // Hysteresis memory for ChooseStrategy: the last UN-probed adaptive choice
-    // (the kSkipProbePeriod override must not masquerade as a recovered skip
-    // phase, or incremental-with-probing would flap once per probe period).
-    ValStrategy steady_strategy = ValStrategy::kIncremental;
-    bool has_steady = false;
   };
   static Counters& Get() {
     thread_local Counters counters;
     return counters;
   }
   static void Reset() { Get() = Counters{}; }
-
-  // Records the strategy chosen for a new attempt, counting transitions.
-  static void OnStrategyChosen(ValStrategy s) {
-    Counters& c = Get();
-    if (c.has_strategy && c.last_strategy != s) {
-      ++c.strategy_switches;
-    }
-    c.last_strategy = s;
-    c.has_strategy = true;
-  }
 };
 
-// Per-attempt strategy state, shared by all four engines (full/short x orec/val —
-// previously open-coded in each with small drift; the ROADMAP refactor item).
-// Owns the choose/probe-tick at attempt start, the persistent counter anchor
-// (global sample AND, for partitioned summaries, the per-stripe sample vector),
-// the read-stripe mask, and the counter/stripe skip ladder with its
-// efficacy-EWMA feedback. SummaryT is anything satisfying the summary concept
-// (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT is the family's
-// ValProbe.
+// Per-attempt strategy state, shared by all four engines (full/short x orec/val).
+// Owns the persistent counter anchor (global sample AND, for the stripe
+// strategy, the per-stripe sample vector), the read-stripe mask, and the
+// counter/stripe skip ladder. SummaryT is anything satisfying the summary
+// concept (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT is the
+// family's ValProbe; kMode is the family's mode, resolved once to kStrategy.
 //
 // The anchor invariant every user maintains: `sample()` (when `sample_valid()`)
 // names a summary-counter value at which the ENTIRE read log was simultaneously
@@ -442,15 +346,18 @@ struct ValProbe {
 // walks must cover the whole log). Mutating members are mutable + const because
 // engines call the skip paths from const validation paths (short_tm's
 // ValidateRo).
-template <typename SummaryT, typename ProbeT>
+template <typename SummaryT, typename ProbeT, ValMode kMode>
 class StrategyState {
  public:
+  static constexpr ValStrategy kStrategy =
+      StrategyFor(kMode, SummaryT::kPartitioned);
+
   // Outcome of the per-read skip paths: the walk was skipped (stable counter /
   // stable stripes), or the caller must run its walk.
   enum class ReadSkip : std::uint8_t { kSkipped, kMustWalk };
 
-  // Pre-walk snapshot for tracked walks: the global sample plus (partitioned
-  // summaries only) the stripe vector. Drawn global-first: writers bump stripes
+  // Pre-walk snapshot for tracked walks: the global sample plus (kStripe
+  // only) the stripe vector. Drawn global-first: writers bump stripes
   // BEFORE the global counter, so every commit a global sample counts already
   // has its stripe bumps included in a vector drawn after that sample.
   struct Snapshot {
@@ -458,36 +365,14 @@ class StrategyState {
     StripeSample stripes;
   };
 
-  // Re-arms for a fresh attempt: pick the strategy from the descriptor EWMAs
-  // (hysteretic band edges keyed off the thread's previous steady choice, with
-  // the periodic skip-efficacy probe under kAdaptive), reset the read-stripe
-  // mask, and anchor the persistent sample BEFORE any read (the skip
-  // soundness argument needs the anchor drawn no later than the first read).
-  void StartAttempt(ValMode mode, const TxStats& stats) {
-    typename ProbeT::Counters& probe = ProbeT::Get();
-    strat_ = ChooseStrategy(mode, AbortEwmaQ16(stats),
-                            SkipEwmaQ16(stats), probe.has_steady,
-                            probe.steady_strategy);
-    if constexpr (!SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {
-        strat_ = ValStrategy::kCounterSkip;  // summary shards nothing: whole counter
-      }
-    }
-    // The hysteresis memory records the steady choice BEFORE the probe override:
-    // a probe attempt must not masquerade as a recovered skip phase, or
-    // incremental-with-probing would flap once per probe period.
-    probe.steady_strategy = strat_;
-    probe.has_steady = true;
-    if (mode == ValMode::kAdaptive && strat_ == ValStrategy::kIncremental &&
-        ++probe.attempt_tick % kSkipProbePeriod == 0) {
-      strat_ = ValStrategy::kCounterSkip;  // efficacy probe (see kSkipProbePeriod)
-    }
-    ProbeT::OnStrategyChosen(strat_);
+  // Re-arms for a fresh attempt: reset the read-stripe mask and anchor the
+  // persistent sample BEFORE any read (the skip soundness argument needs the
+  // anchor drawn no later than the first read).
+  void StartAttempt() {
     read_stripe_mask_ = 0;
     Anchor();
   }
 
-  ValStrategy strategy() const { return strat_; }
   Word sample() const { return sample_; }
   bool sample_valid() const { return sample_valid_; }
   unsigned read_stripe_mask() const { return read_stripe_mask_; }
@@ -495,58 +380,43 @@ class StrategyState {
   void Anchor() const {
     sample_ = SummaryT::Sample();
     sample_valid_ = true;
-    if constexpr (SummaryT::kPartitioned) {
+    if constexpr (kStrategy == ValStrategy::kStripe) {
       // The stripe vector costs kCounterStripes extra seq-cst loads; only the
       // kStripe strategy ever consults it, so other strategies skip the draw.
-      if (strat_ == ValStrategy::kStripe) {
-        stripe_sample_ = SummaryT::StripeSampleNow();
-        stripe_valid_ = true;
-      } else {
-        stripe_valid_ = false;
-      }
+      stripe_sample_ = SummaryT::StripeSampleNow();
+      stripe_valid_ = true;
     }
   }
 
   // Accumulates a just-read location's stripe into the occupancy mask (kStripe
   // only; the other strategies never consult it, so the OR would be dead work).
   void NoteRead(const void* metadata_word) {
-    if (strat_ == ValStrategy::kStripe) {
+    if constexpr (kStrategy == ValStrategy::kStripe) {
       read_stripe_mask_ |= 1u << CounterStripeOf(metadata_word);
+    } else {
+      static_cast<void>(metadata_word);
     }
   }
 
-  // The skip ladder, cheapest first: stable global counter, then (partitioned)
-  // stable READ-occupied stripes, else walk. Updates the skip-efficacy EWMA
-  // when `ewma_stats` is non-null (per-read call sites feed the adaptive
-  // engine; final-validation call sites pass nullptr, matching the engines'
-  // historical behavior).
-  ReadSkip TrySkipRead(TxStats* ewma_stats) const {
-    const bool skippable =
-        strat_ != ValStrategy::kIncremental && sample_valid_;
-    if (skippable && SummaryT::Stable(sample_)) {
-      ++ProbeT::Get().counter_skips;
-      if (ewma_stats != nullptr) {
-        UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
-      }
-      return ReadSkip::kSkipped;
-    }
-    if constexpr (SummaryT::kPartitioned) {
-      if (skippable && strat_ == ValStrategy::kStripe && stripe_valid_ &&
-          StripesUnchanged()) {
-        ++ProbeT::Get().stripe_skips;
-        if (ewma_stats != nullptr) {
-          UpdateSkipEwma(*ewma_stats, /*skipped=*/true);
-        }
+  // The skip ladder, cheapest first: stable global counter, then (kStripe)
+  // stable READ-occupied stripes, else walk.
+  ReadSkip TrySkipRead() const {
+    if constexpr (kStrategy == ValStrategy::kIncremental) {
+      return ReadSkip::kMustWalk;
+    } else {
+      if (sample_valid_ && SummaryT::Stable(sample_)) {
+        ++ProbeT::Get().counter_skips;
         return ReadSkip::kSkipped;
       }
+      if constexpr (kStrategy == ValStrategy::kStripe) {
+        if (sample_valid_ && stripe_valid_ && StripesUnchanged()) {
+          ++ProbeT::Get().stripe_skips;
+          return ReadSkip::kSkipped;
+        }
+        ++ProbeT::Get().cross_stripe_walks;  // a read-occupied stripe moved
+      }
+      return ReadSkip::kMustWalk;
     }
-    if (strat_ != ValStrategy::kIncremental && ewma_stats != nullptr) {
-      UpdateSkipEwma(*ewma_stats, /*skipped=*/false);
-    }
-    if (strat_ == ValStrategy::kStripe) {
-      ++ProbeT::Get().cross_stripe_walks;  // a read-occupied stripe moved
-    }
-    return ReadSkip::kMustWalk;
   }
 
   // Commit-time skip for a writer that has bumped its summary (bump-before-
@@ -561,7 +431,10 @@ class StrategyState {
   // already-visible locks (the per-stripe crossing-committer argument,
   // docs/VALIDATION.md).
   bool TrySkipCommit(Word own_idx, unsigned write_stripe_mask = 0) const {
-    if (strat_ == ValStrategy::kIncremental || !sample_valid_) {
+    if constexpr (kStrategy == ValStrategy::kIncremental) {
+      return false;
+    }
+    if (!sample_valid_) {
       return false;
     }
     const bool counter_ok = own_idx != 0
@@ -571,9 +444,8 @@ class StrategyState {
       ++ProbeT::Get().counter_skips;
       return true;
     }
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe && stripe_valid_ &&
-          StripesUnchangedWithOwn(write_stripe_mask)) {
+    if constexpr (kStrategy == ValStrategy::kStripe) {
+      if (stripe_valid_ && StripesUnchangedWithOwn(write_stripe_mask)) {
         ++ProbeT::Get().stripe_skips;
         return true;
       }
@@ -586,10 +458,8 @@ class StrategyState {
   Snapshot DrawSnapshot() const {
     Snapshot snap;
     snap.global = SummaryT::Sample();
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {  // see Anchor(): nobody else reads it
-        snap.stripes = SummaryT::StripeSampleNow();
-      }
+    if constexpr (kStrategy == ValStrategy::kStripe) {  // see Anchor()
+      snap.stripes = SummaryT::StripeSampleNow();
     }
     return snap;
   }
@@ -607,15 +477,13 @@ class StrategyState {
     if (SummaryT::Stable(pre_walk.global)) {
       sample_ = pre_walk.global;
       sample_valid_ = true;
-      if constexpr (SummaryT::kPartitioned) {
-        if (strat_ == ValStrategy::kStripe) {
-          stripe_sample_ = pre_walk.stripes;
-          stripe_valid_ = true;
-        }
+      if constexpr (kStrategy == ValStrategy::kStripe) {
+        stripe_sample_ = pre_walk.stripes;
+        stripe_valid_ = true;
       }
     } else {
       sample_valid_ = false;
-      if constexpr (SummaryT::kPartitioned) {
+      if constexpr (kStrategy == ValStrategy::kStripe) {
         stripe_valid_ = false;
       }
     }
@@ -627,11 +495,9 @@ class StrategyState {
   void ReanchorStable(const Snapshot& stable) const {
     sample_ = stable.global;
     sample_valid_ = true;
-    if constexpr (SummaryT::kPartitioned) {
-      if (strat_ == ValStrategy::kStripe) {
-        stripe_sample_ = stable.stripes;
-        stripe_valid_ = true;
-      }
+    if constexpr (kStrategy == ValStrategy::kStripe) {
+      stripe_sample_ = stable.stripes;
+      stripe_valid_ = true;
     }
   }
 
@@ -670,7 +536,6 @@ class StrategyState {
   mutable Word sample_ = 0;
   mutable StripeSample stripe_sample_;
   unsigned read_stripe_mask_ = 0;
-  ValStrategy strat_ = ValStrategy::kIncremental;
   mutable bool sample_valid_ = false;
   mutable bool stripe_valid_ = false;
 };

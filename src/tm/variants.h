@@ -141,19 +141,15 @@ struct OrecGv6Tag {};
 using OrecGv5 = internal::OrecBasedFamily<OrecGv5Tag, OrecLayout, GlobalClockGv5>;
 using OrecGv6 = internal::OrecBasedFamily<OrecGv6Tag, OrecLayout, GlobalClockGv6>;
 
-// Adaptive-validation ablations over the local-clock layout — the family whose
-// full-transaction reads pay the O(read-set) per-read revalidation the engine
+// Validation-strategy ablation over the local-clock layout — the family whose
+// full-transaction reads pay the O(read-set) per-read revalidation the skip
 // exists to cut. OrecL itself (kPassive: no writer summary at all) is the
-// always-incremental baseline; the fixed counter-skip family measures the skip
-// in isolation; the adaptive family switches between the two per attempt from
-// the abort-rate EWMA. Swept in bench/abl_adaptive_val.
+// always-incremental baseline; the counter-skip family measures the skip in
+// isolation. Swept in bench/abl_adaptive_val.
 struct OrecLCounterTag {};
-struct OrecLAdaptTag {};
 using OrecLCounterSkip =
     internal::OrecBasedFamily<OrecLCounterTag, OrecLayout, LocalClockPolicy,
                               ValMode::kCounterSkip>;
-using OrecLAdaptive = internal::OrecBasedFamily<OrecLAdaptTag, OrecLayout,
-                                                LocalClockPolicy, ValMode::kAdaptive>;
 
 // Partitioned NOrec (valstrategy.h kStripe): the precise commit counter sharded
 // into per-address-region stripe counters — writers bump only the stripes their
@@ -177,16 +173,14 @@ using ValPerThreadCounter = internal::ValFamilyT<PerThreadCounterValidation>;
 // Validation-strategy ablations for the val layout, ALL over the striped counter
 // policy (val_word.h) so every row of bench/abl_adaptive_val pays the identical
 // writer protocol (stripe bumps + global bump) and the cells differ only in
-// reader strategy: fixed incremental (walk every read — the pure
-// summary-maintenance-overhead baseline), fixed counter-skip, and the
-// EWMA-adaptive engine. ValGlobalCounter above stays on the classic unstriped
-// Dalessandro counter for the original abl_val_validation comparison.
+// reader strategy: incremental (walk every read — the pure
+// summary-maintenance-overhead baseline) and counter-skip. ValGlobalCounter
+// above stays on the classic unstriped Dalessandro counter for the original
+// abl_val_validation comparison.
 using ValIncremental =
     internal::ValFamilyT<StripedCounterValidation, ValMode::kIncremental>;
 using ValCounterSkip =
     internal::ValFamilyT<StripedCounterValidation, ValMode::kCounterSkip>;
-using ValAdaptive =
-    internal::ValFamilyT<StripedCounterValidation, ValMode::kAdaptive>;
 // Partitioned NOrec over the val layout: metadata IS the data word (§2.4), so the
 // address-region counter stripes inherit the structure's locality — a btree
 // leaf-chain scan occupies few stripes however many ENTRIES it logs, so writers

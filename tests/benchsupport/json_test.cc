@@ -56,7 +56,7 @@ TEST(JsonReport, EmitsSchemaAndAllFields) {
 }
 
 TEST(JsonReport, StrategyAndProbeFieldsAreOptIn) {
-  // Benches that do not set the adaptive-validation extensions keep their exact
+  // Benches that do not set the strategy/probe extensions keep their exact
   // historical record shape.
   JsonReport plain("plain");
   plain.Add(SampleRecord());
@@ -67,19 +67,17 @@ TEST(JsonReport, StrategyAndProbeFieldsAreOptIn) {
 
   BenchRecord r = SampleRecord();
   r.workload = "phase-shift";
-  r.strategy = "adaptive";
+  r.strategy = "counter-skip";
   r.has_probes = true;
   r.counter_skips = 7;
   r.validation_walks = 2;
-  r.strategy_switches = 1;
   JsonReport extended("extended");
   extended.Add(r);
   const std::string json = extended.ToJson();
   EXPECT_NE(json.find("\"workload\": \"phase-shift\""), std::string::npos);
-  EXPECT_NE(json.find("\"strategy\": \"adaptive\""), std::string::npos);
+  EXPECT_NE(json.find("\"strategy\": \"counter-skip\""), std::string::npos);
   EXPECT_NE(json.find("\"counter_skips\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"validation_walks\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"strategy_switches\": 1"), std::string::npos);
   EXPECT_EQ(json.find("\"bloom_skips\""), std::string::npos);
 }
 

@@ -342,7 +342,10 @@ TEST_F(ExceptionSafetyTest, ShortValThrowEverySite) {
 // its publish-window retry loop, and a selectable interval would expose the
 // aborted write to pinned readers.
 TEST_F(ExceptionSafetyTest, SnapshotFullPublishThrowTombstonesTheHead) {
-  ValSnap::Slot a, b;
+  // Static, like every ValSnap slot in this file: a slot's version-chain nodes
+  // come from the MVCC node pool and outlive the slot, so a stack slot would
+  // leave them unreachable (a LeakSanitizer report in ASan builds).
+  static ValSnap::Slot a, b;
   ValSnap::SingleWrite(&a, EncodeInt(1));
   ValSnap::SingleWrite(&b, EncodeInt(2));
   failpoint::ResetHits();
@@ -379,7 +382,7 @@ TEST_F(ExceptionSafetyTest, SnapshotFullPublishThrowTombstonesTheHead) {
 // the commit bump and the releasing store with the lock guard as the only
 // unwind machinery.
 TEST_F(ExceptionSafetyTest, SnapshotSingleOpPublishThrowRestoresSlotAndChain) {
-  ValSnap::Slot s;
+  static ValSnap::Slot s;
   ValSnap::SingleWrite(&s, EncodeInt(1));
   failpoint::ResetHits();
   failpoint::ArmThrow(Site::kVersionPublish, 100);
@@ -500,7 +503,7 @@ TEST_F(ExceptionSafetyTest, EveryPlantedSiteActuallyFires) {
   // pause) and scans the pinned snapshots for the done stamp; overwriting the
   // same slot past the chain bound trims and retires superseded nodes.
   {
-    ValSnap::Slot s;
+    static ValSnap::Slot s;
     for (int i = 0; i < mvcc::kMaxVersions + 2; ++i) {
       ValSnap::SingleWrite(&s, EncodeInt(static_cast<Word>(i)));
     }

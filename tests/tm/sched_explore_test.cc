@@ -495,7 +495,8 @@ TEST(SchedExploreEpoch, AdvanceNeverFreesUnderAForeignGuard) {
 // scan) and the reader's chain walk — the races the two-step pin and the
 // lazy-stamp protocol exist for.
 TEST(SchedExploreMvcc, PinnedSnapshotIsStableAcrossWriterChurn) {
-  auto* s = new ValSnap::Slot();
+  static ValSnap::Slot slot;  // static: its chain nodes must stay reachable
+  ValSnap::Slot* s = &slot;
   std::atomic<bool> violation{false};
   auto make_bodies = [&]() {
     ValSnap::SingleWrite(s, EncodeInt(1));
@@ -546,8 +547,9 @@ TEST(SchedExploreMvcc, PinnedSnapshotIsStableAcrossWriterChurn) {
 // determinism with probe counters).
 
 TEST(SchedExploreReplay, EngineScheduleReplaysByteIdentically) {
-  auto* a = new OrecL::Slot();
-  auto* b = new OrecL::Slot();
+  static OrecL::Slot slot_a, slot_b;  // static, like the MVCC case's slot
+  OrecL::Slot* a = &slot_a;
+  OrecL::Slot* b = &slot_b;
   struct Observed {
     Trace trace;
     std::array<std::uint64_t, 2> body_runs{};

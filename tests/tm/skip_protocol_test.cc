@@ -1,8 +1,9 @@
-// Adaptive validation engine (valstrategy.h): EWMA tracking, strategy choice and
-// transitions, the writer summary's counter stripes, and the probe-verified
-// hot-path claims — counter skips firing on unchanged-counter RO reads (short and
-// full transactions, orec and val layouts) and stripe skips absorbing write
-// traffic in stripes the read set does not occupy.
+// Validation skip protocol (valstrategy.h): the strategy each family is built
+// with, the abort EWMA, the writer summary's counter stripes, and the
+// probe-verified hot-path claims — counter skips firing on unchanged-counter RO
+// reads (short and full transactions, orec and val layouts), stripe skips
+// absorbing write traffic in stripes the read set does not occupy, and the
+// commit-time skip keeping crossing committers apart.
 #include "src/tm/valstrategy.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,37 @@
 namespace spectm {
 namespace {
 
+// Each family's strategy is fixed when it is built (valstrategy.h StrategyFor):
+// pin what its full and short engines both resolve to.
+template <typename F>
+constexpr bool ResolvesTo(ValStrategy s) {
+  return F::Full::StratState::kStrategy == s &&
+         F::Short::StratState::kStrategy == s;
+}
+static_assert(ResolvesTo<OrecLCounterSkip>(ValStrategy::kCounterSkip));
+static_assert(ResolvesTo<OrecLPart>(ValStrategy::kStripe));
+static_assert(ResolvesTo<Val>(ValStrategy::kIncremental),
+              "a non-precise policy's counter proves nothing: it walks");
+static_assert(ResolvesTo<ValGlobalCounter>(ValStrategy::kCounterSkip),
+              "an unstriped summary takes the whole counter");
+static_assert(ResolvesTo<ValPerThreadCounter>(ValStrategy::kCounterSkip));
+static_assert(ResolvesTo<ValIncremental>(ValStrategy::kIncremental));
+static_assert(ResolvesTo<ValCounterSkip>(ValStrategy::kCounterSkip));
+static_assert(ResolvesTo<ValPart>(ValStrategy::kStripe));
+static_assert(ResolvesTo<ValSnap>(ValStrategy::kStripe));
+
+// Per-operation cost tracks the transaction object's size (one unused 16-byte
+// field in FullTm::Tx cost orec full-rw2 ~9%), so a fixed strategy must cost
+// the engines no bytes. Sizes when the strategy was still chosen per attempt
+// (LP64): OrecG Tx 72 / ShortTx 272; ValPart and ValSnap Tx 88 / ShortTx 264.
+constexpr bool kLp64 = sizeof(void*) == 8;
+static_assert(!kLp64 || sizeof(OrecG::FullTx) <= 72);
+static_assert(!kLp64 || sizeof(OrecG::ShortTx) <= 272);
+static_assert(!kLp64 || sizeof(ValPart::FullTx) <= 88);
+static_assert(!kLp64 || sizeof(ValPart::ShortTx) <= 264);
+static_assert(!kLp64 || sizeof(ValSnap::FullTx) <= 88);
+static_assert(!kLp64 || sizeof(ValSnap::ShortTx) <= 264);
+
 TEST(AbortEwma, TracksOutcomesAndDecaysToZero) {
   TxStats stats;
   EXPECT_EQ(AbortEwmaQ16(stats), 0u);
@@ -33,7 +65,7 @@ TEST(AbortEwma, TracksOutcomesAndDecaysToZero) {
   for (int i = 0; i < 100; ++i) {
     UpdateAbortEwma(stats, /*aborted=*/true);
   }
-  EXPECT_GT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16) << "sustained aborts look contended";
+  EXPECT_GT(AbortEwmaQ16(stats), 65000u) << "sustained aborts look contended";
 
   // ...and a long abort-free run decays it all the way back to zero (the rounded
   // decrement must not stall at a small residue).
@@ -43,39 +75,11 @@ TEST(AbortEwma, TracksOutcomesAndDecaysToZero) {
   EXPECT_EQ(AbortEwmaQ16(stats), 0u);
 }
 
-TEST(AbortEwma, SingleAbortDoesNotFlipTheStrategy) {
+TEST(AbortEwma, SingleAbortMovesOneSixteenth) {
   TxStats stats;
   UpdateAbortEwma(stats, /*aborted=*/true);
-  // One abort from a cold start: 1/16 of full scale = 4096 Q16 — below the
-  // incremental band.
-  EXPECT_LT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16);
-}
-
-TEST(ChooseStrategy, FixedModesIgnoreTheEwma) {
-  for (const std::uint32_t ewma : {0u, 10000u, 65535u}) {
-    EXPECT_EQ(ChooseStrategy(ValMode::kPassive, ewma), ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kIncremental, ewma), ValStrategy::kIncremental);
-    EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, ewma), ValStrategy::kCounterSkip);
-    EXPECT_EQ(ChooseStrategy(ValMode::kPartitioned, ewma), ValStrategy::kStripe);
-  }
-}
-
-TEST(ChooseStrategy, AdaptiveBands) {
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0), ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16 - 1),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16),
-            ValStrategy::kIncremental);
-}
-
-TEST(ChooseStrategy, PoorSkipEfficacyFallsBackToIncremental) {
-  // When skips stopped paying for themselves, adaptive mode walks regardless of
-  // the abort band; fixed modes are unaffected.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaMinQ16 - 1),
-            ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaMinQ16),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kCounterSkip, 0, 0), ValStrategy::kCounterSkip);
+  // One abort from a cold start: 1/16 of full scale = 4096 Q16.
+  EXPECT_EQ(AbortEwmaQ16(stats), 4096u);
 }
 
 // Acceptance: the short-tx counter skip fires on unchanged-counter RO reads — the
@@ -185,71 +189,14 @@ TEST(CounterSkip, FullTxLocalClockReadsSkipOnStableCounter) {
       << "quiescent read-heavy full tx must never walk under counter-skip";
 }
 
-// Acceptance: the EWMA switch actually transitions strategies. Drive the
-// descriptor's EWMA across the bands and observe the adaptive family start
-// attempts under different strategies.
-TEST(AdaptiveStrategy, EwmaDrivesStrategyTransitions) {
-  using F = OrecLAdaptive;
-  using Probe = ValProbe<OrecLAdaptTag>;
-  static F::Slot a;
-  F::SingleWrite(&a, EncodeInt(1));
-  TxStats& stats = DescOf<OrecLAdaptTag>().stats;
-  stats.skip_ewma_q16.store(65536u);  // skips paying: isolate the abort signal
-
-  // Phase 1: clean history -> counter-skip.
-  while (AbortEwmaQ16(stats) != 0) {
-    UpdateAbortEwma(stats, false);
-  }
-  Probe::Reset();
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    EXPECT_TRUE(tx.ValidateRo());
-    tx.Abort();
-  }
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
-
-  // Phase 2: heavy abort pressure -> incremental.
-  while (AbortEwmaQ16(stats) < kEwmaWalkEnterQ16) {
-    UpdateAbortEwma(stats, true);
-  }
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-  }
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kIncremental);
-
-  EXPECT_GE(Probe::Get().strategy_switches, 1u)
-      << "the probe must have recorded the band crossing";
-
-  // Phase 3: pressure subsides -> back to counter-skip (full transactions pick the
-  // strategy at Start() the same way).
-  while (AbortEwmaQ16(stats) != 0) {
-    UpdateAbortEwma(stats, false);
-  }
-  F::FullTx tx;
-  do {
-    tx.Start();
-    tx.Read(&a);
-  } while (!tx.Commit());
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
-  EXPECT_GE(Probe::Get().strategy_switches, 2u);
-}
-
-// The val layout's adaptive engine takes the same decisions through its
+// The val layout's full transactions skip the same way through their
 // ValidationPolicy counter.
-TEST(AdaptiveStrategy, ValAdaptiveSkipsWhenQuiescent) {
-  using F = ValAdaptive;
+TEST(CounterSkip, FullTxValReadsSkipOnStableCounter) {
+  using F = ValCounterSkip;
   using Probe = ValProbe<ValDomainTag>;
   static F::Slot a, b;
   F::SingleWrite(&a, EncodeInt(3));
   F::SingleWrite(&b, EncodeInt(4));
-  TxStats& stats = DescOf<ValDomainTag>().stats;
-  stats.skip_ewma_q16.store(65536u);
-  while (AbortEwmaQ16(stats) != 0) {
-    UpdateAbortEwma(stats, false);
-  }
 
   Probe::Reset();
   F::FullTx tx;
@@ -261,70 +208,8 @@ TEST(AdaptiveStrategy, ValAdaptiveSkipsWhenQuiescent) {
   } while (!tx.Commit());
   EXPECT_EQ(DecodeInt(va), 3u);
   EXPECT_EQ(DecodeInt(vb), 4u);
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
   EXPECT_GE(Probe::Get().counter_skips, 1u);
   EXPECT_EQ(Probe::Get().validation_walks, 0u);
-}
-
-// Skip-efficacy feedback, end to end: when the counter moves between every
-// pair of reads, the adaptive engine must decay toward incremental — and the
-// periodic probe must keep re-trying a skip so it can recover in quiet phases.
-TEST(AdaptiveStrategy, PoorEfficacyDecaysToIncrementalAndProbesBack) {
-  using F = OrecLAdaptive;
-  using Probe = ValProbe<OrecLAdaptTag>;
-  static F::Slot a, b, churn;
-  F::SingleWrite(&a, EncodeInt(1));
-  F::SingleWrite(&b, EncodeInt(2));
-  TxStats& stats = DescOf<OrecLAdaptTag>().stats;
-  while (AbortEwmaQ16(stats) != 0) {
-    UpdateAbortEwma(stats, false);
-  }
-  stats.skip_ewma_q16.store(65536u);
-
-  // Defeat every skip: a disjoint write between the two RO reads moves the
-  // counter each attempt, so each attempt walks (efficacy miss).
-  for (int i = 0; i < 200; ++i) {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    F::SingleWrite(&churn, EncodeInt(static_cast<std::uint64_t>(i)));
-    tx.ReadRo(&b);
-    EXPECT_TRUE(tx.Valid());
-    tx.Reset();  // fresh attempt; strategy re-chosen from the decayed EWMA
-  }
-  EXPECT_LT(SkipEwmaQ16(stats), kSkipEwmaMinQ16) << "misses must decay the EWMA";
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-  }
-  // The engine may be in a probe attempt (1 in kSkipProbePeriod); retry a few
-  // times to observe the steady incremental choice.
-  int incremental_seen = 0;
-  for (int i = 0; i < 8; ++i) {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-    incremental_seen += Probe::Get().last_strategy == ValStrategy::kIncremental;
-  }
-  EXPECT_GE(incremental_seen, 6) << "poor efficacy must steer attempts to walking";
-
-  // Quiet phase: probes fire every kSkipProbePeriod attempts, hit, and pull the
-  // EWMA back up until skips are the steady choice again.
-  for (int i = 0; i < 600; ++i) {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.ReadRo(&b);
-    EXPECT_TRUE(tx.Valid());
-    tx.Abort();
-  }
-  EXPECT_GE(SkipEwmaQ16(stats), kSkipEwmaMinQ16)
-      << "probe hits in a quiet phase must restore skip efficacy";
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-    EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
-  }
 }
 
 // Multi-threaded sanity for the stripe skip under real concurrency: disjoint-slot
@@ -429,8 +314,8 @@ TEST(CommitSkipProtocol, LinkedSetBalanceOrecLCounterSkip) {
   RunLinkedSetBalanceCheck<OrecLCounterSkip>(0xc075);
 }
 
-TEST(CommitSkipProtocol, LinkedSetBalanceValAdaptive) {
-  RunLinkedSetBalanceCheck<ValAdaptive>(0xada9);
+TEST(CommitSkipProtocol, LinkedSetBalanceValCounterSkip) {
+  RunLinkedSetBalanceCheck<ValCounterSkip>(0xada9);
 }
 
 // Crossing-committers regression, re-derived for the PARTITIONED skip protocol:
@@ -620,90 +505,6 @@ TEST(PartitionedSkip, CommitSkipSurvivesDisjointStripeTraffic) {
   EXPECT_GE(Probe::Get().stripe_skips, 1u)
       << "the commit must skip through the per-stripe test, not walk";
   EXPECT_EQ(Probe::Get().validation_walks, 0u);
-}
-
-// --- Strategy-band hysteresis (the GV6 enter/exit dead-band pattern) ------------
-
-TEST(ChooseStrategy, AbortBandEdgeIsHysteretic) {
-  const std::uint32_t in_band = (kEwmaWalkExitQ16 + kEwmaWalkEnterQ16) / 2;
-  // Inside the dead band the previous choice sticks — a single threshold would
-  // flip here on every EWMA wiggle.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, in_band, 65536u,
-                           /*has_prev=*/true, ValStrategy::kCounterSkip),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, in_band, 65536u,
-                           /*has_prev=*/true, ValStrategy::kIncremental),
-            ValStrategy::kIncremental);
-  // Crossing the enter edge walks; leaving through the exit edge skips again.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkEnterQ16, 65536u,
-                           /*has_prev=*/true, ValStrategy::kCounterSkip),
-            ValStrategy::kIncremental);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, kEwmaWalkExitQ16 - 1, 65536u,
-                           /*has_prev=*/true, ValStrategy::kIncremental),
-            ValStrategy::kCounterSkip);
-}
-
-TEST(ChooseStrategy, SkipEfficacyRecoveryIsHysteretic) {
-  const std::uint32_t in_band = (kSkipEwmaMinQ16 + kSkipEwmaRecoverQ16) / 2;
-  // A thread that fell back to walking needs the RECOVER threshold to resume...
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, in_band,
-                           /*has_prev=*/true, ValStrategy::kIncremental),
-            ValStrategy::kIncremental);
-  // ...while a thread still skipping keeps skipping at the same efficacy.
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, in_band,
-                           /*has_prev=*/true, ValStrategy::kCounterSkip),
-            ValStrategy::kCounterSkip);
-  EXPECT_EQ(ChooseStrategy(ValMode::kAdaptive, 0, kSkipEwmaRecoverQ16,
-                           /*has_prev=*/true, ValStrategy::kIncremental),
-            ValStrategy::kCounterSkip);
-}
-
-// End-to-end flap regression, mirroring clock_gv56_test's DeadBandDoesNotFlap:
-// an abort EWMA wiggling INSIDE the dead band must not change the steady
-// strategy attempts start with; leaving the band through the exit edge flips it
-// exactly once. The steady choice is read instead of last_strategy because
-// walking attempts still run a skip probe every kSkipProbePeriod attempts.
-TEST(StrategyHysteresis, InBandEwmaWiggleDoesNotFlap) {
-  using F = OrecLAdaptive;
-  using Probe = ValProbe<OrecLAdaptTag>;
-  static F::Slot a;
-  F::SingleWrite(&a, EncodeInt(1));
-  TxStats& stats = DescOf<OrecLAdaptTag>().stats;
-  stats.skip_ewma_q16.store(65536u);  // isolate the abort-band signal
-
-  // Rise through the enter edge: attempts settle on incremental.
-  while (AbortEwmaQ16(stats) < kEwmaWalkEnterQ16) {
-    UpdateAbortEwma(stats, true);
-  }
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-  }
-  ASSERT_EQ(Probe::Get().steady_strategy, ValStrategy::kIncremental);
-
-  const std::uint32_t mid = (kEwmaWalkExitQ16 + kEwmaWalkEnterQ16) / 2;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t wiggle = mid + (i % 2 == 0 ? -64 : +64);
-    stats.abort_ewma_q16.store(wiggle, std::memory_order_relaxed);
-    ASSERT_GE(AbortEwmaQ16(stats), kEwmaWalkExitQ16);
-    ASSERT_LT(AbortEwmaQ16(stats), kEwmaWalkEnterQ16);
-    F::ShortTx tx;
-    tx.ReadRo(&a);  // pure-RO attempt: its Abort() leaves the EWMA untouched
-    tx.Abort();
-    EXPECT_EQ(Probe::Get().steady_strategy, ValStrategy::kIncremental)
-        << "in-band wiggling must never flip the strategy";
-  }
-
-  // Falling through the exit edge finally flips.
-  stats.abort_ewma_q16.store(kEwmaWalkExitQ16 - 1, std::memory_order_relaxed);
-  {
-    F::ShortTx tx;
-    tx.ReadRo(&a);
-    tx.Abort();
-  }
-  EXPECT_EQ(Probe::Get().steady_strategy, ValStrategy::kCounterSkip);
-  EXPECT_EQ(Probe::Get().last_strategy, ValStrategy::kCounterSkip);
 }
 
 }  // namespace

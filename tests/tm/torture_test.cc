@@ -1,4 +1,4 @@
-// Fail-point torture: the linked-set balance invariant (adaptive_val_test.cc)
+// Fail-point torture: the linked-set balance invariant (skip_protocol_test.cc)
 // re-run under deterministic fault injection. Plain stress tests hit the
 // protocol's razor-edge windows by luck; here the fail-point layer
 // (src/common/failpoint.h) turns luck into a schedule — forced aborts at the
@@ -28,7 +28,7 @@
 namespace spectm {
 namespace {
 
-// Smaller than adaptive_val_test's battery: this binary runs several
+// Smaller than skip_protocol_test's battery: this binary runs several
 // schedules per family and rides in the TSan smoke subset.
 constexpr int kWorkers = 4;
 constexpr int kOpsPerThread = 20000;
@@ -105,12 +105,12 @@ class TortureTest : public ::testing::Test {
   }
 };
 
-TEST_F(TortureTest, BaselineOrecAdaptive) {
-  EXPECT_EQ(RunTortureBalance<OrecLAdaptive>(0x7041).balance_delta, 0);
+TEST_F(TortureTest, BaselineOrecCounterSkip) {
+  EXPECT_EQ(RunTortureBalance<OrecLCounterSkip>(0x7041).balance_delta, 0);
 }
 
-TEST_F(TortureTest, BaselineValAdaptive) {
-  EXPECT_EQ(RunTortureBalance<ValAdaptive>(0x7042).balance_delta, 0);
+TEST_F(TortureTest, BaselineValCounterSkip) {
+  EXPECT_EQ(RunTortureBalance<ValCounterSkip>(0x7042).balance_delta, 0);
 }
 
 TEST_F(TortureTest, BaselineValPart) {
@@ -128,8 +128,8 @@ TEST_F(TortureTest, ForcedAbortScheduleKeepsBalance) {
   failpoint::Arm(failpoint::Site::kPostReadPreSandwich, /*abort_pct=*/4);
   failpoint::Arm(failpoint::Site::kPreValidate, /*abort_pct=*/3);
   failpoint::Arm(failpoint::Site::kLockAcquire, /*abort_pct=*/4);
-  EXPECT_EQ(RunTortureBalance<OrecLAdaptive>(0x7141).balance_delta, 0);
-  EXPECT_EQ(RunTortureBalance<ValAdaptive>(0x7142).balance_delta, 0);
+  EXPECT_EQ(RunTortureBalance<OrecLCounterSkip>(0x7141).balance_delta, 0);
+  EXPECT_EQ(RunTortureBalance<ValCounterSkip>(0x7142).balance_delta, 0);
   EXPECT_GT(failpoint::Hits(failpoint::Site::kLockAcquire), 0u)
       << "the schedule never actually fired — the torture was a no-op";
 }
@@ -293,23 +293,23 @@ TEST_F(TortureTest, ExceptionStormScheduleKeepsBalance) {
   failpoint::ArmThrow(failpoint::Site::kPreValidate, /*throw_pct=*/2);
   failpoint::ArmThrow(failpoint::Site::kLockAcquire, /*throw_pct=*/3);
   std::uint64_t faults = 0;
-  const TortureResult orec = RunExceptionStormBalance<OrecLAdaptive>(0xe141, &faults);
+  const TortureResult orec = RunExceptionStormBalance<OrecLCounterSkip>(0xe141, &faults);
   EXPECT_EQ(orec.balance_delta, 0)
       << "an unwound attempt published state or broke a peer";
   EXPECT_GT(faults, 0u) << "the storm never threw — the schedule was a no-op";
-  EXPECT_EQ(SerialGate<typename OrecLAdaptive::DomainTag>::SerialOwner(), nullptr);
-  EXPECT_EQ(SerialGate<typename OrecLAdaptive::DomainTag>::AnnouncedCommitters(), 0u);
+  EXPECT_EQ(SerialGate<typename OrecLCounterSkip::DomainTag>::SerialOwner(), nullptr);
+  EXPECT_EQ(SerialGate<typename OrecLCounterSkip::DomainTag>::AnnouncedCommitters(), 0u);
 
   failpoint::SetSeed(0xe5c5);
   failpoint::ArmThrow(failpoint::Site::kPostReadPreSandwich, /*throw_pct=*/2);
   failpoint::ArmThrow(failpoint::Site::kPreValidate, /*throw_pct=*/2);
   failpoint::ArmThrow(failpoint::Site::kLockAcquire, /*throw_pct=*/3);
-  const TortureResult val = RunExceptionStormBalance<ValAdaptive>(0xe142, &faults);
+  const TortureResult val = RunExceptionStormBalance<ValCounterSkip>(0xe142, &faults);
   EXPECT_EQ(val.balance_delta, 0)
       << "an unwound attempt published state or broke a peer";
   EXPECT_GT(faults, 0u) << "the storm never threw — the schedule was a no-op";
-  EXPECT_EQ(SerialGate<typename ValAdaptive::DomainTag>::SerialOwner(), nullptr);
-  EXPECT_EQ(SerialGate<typename ValAdaptive::DomainTag>::AnnouncedCommitters(), 0u);
+  EXPECT_EQ(SerialGate<typename ValCounterSkip::DomainTag>::SerialOwner(), nullptr);
+  EXPECT_EQ(SerialGate<typename ValCounterSkip::DomainTag>::AnnouncedCommitters(), 0u);
 }
 
 // The interop schedule: a low threshold plus a high forced-conflict rate
@@ -321,7 +321,7 @@ TEST_F(TortureTest, EscalationScheduleInteropsSeriallyAndOptimistically) {
   SetSerialEscalationStreak(3);
   failpoint::SetSeed(0x5e71);
   failpoint::Arm(failpoint::Site::kLockAcquire, /*abort_pct=*/30);
-  const TortureResult r = RunTortureBalance<OrecLAdaptive>(0x7345);
+  const TortureResult r = RunTortureBalance<OrecLCounterSkip>(0x7345);
   EXPECT_EQ(r.balance_delta, 0)
       << "serial/optimistic interleaving corrupted the set";
   EXPECT_GT(r.escalations, 0u) << "the schedule never escalated";

@@ -135,14 +135,14 @@ TEST(ValPolicies, PerThreadCountersKeepPairsConsistentUnderValueRecycling) {
 // three special cases; this test documents that they are at least as strong.
 TEST(ValPolicies, NonReuseSafeWhenWritersLockEverything) { RunAbaChurn<Val>(); }
 
-// The partitioned policy and the adaptive engine must be exactly as strong as the
+// The partitioned and counter-skip families must be exactly as strong as the
 // plain counter under value recycling — skips may only fire when provably safe.
 TEST(ValPolicies, PartitionedKeepsPairsConsistentUnderValueRecycling) {
   RunAbaChurn<ValPart>();
 }
 
-TEST(ValPolicies, AdaptiveEngineKeepsPairsConsistentUnderValueRecycling) {
-  RunAbaChurn<ValAdaptive>();
+TEST(ValPolicies, CounterSkipKeepsPairsConsistentUnderValueRecycling) {
+  RunAbaChurn<ValCounterSkip>();
 }
 
 }  // namespace
