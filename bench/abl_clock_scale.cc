@@ -1,6 +1,7 @@
 // Clock-policy scalability ablation: GV4 pass-on-failure (+ thread-local sample
-// cache) vs the naive fetch_add global clock vs per-orec local versions, swept over
-// thread counts on the hash-table workload.
+// cache) vs GV5 (load-only commit stamps) vs GV6 (GV4/GV5 by abort rate) vs the
+// naive fetch_add global clock vs per-orec local versions, swept over thread
+// counts on the hash-table workload.
 //
 // The paper's §4.1 and Figures 7–9 identify the shared commit clock as the
 // scalability limiter of the *-g variants; TL2's GV4 scheme removes the CAS-retry
@@ -28,15 +29,30 @@ namespace {
 constexpr std::size_t kBuckets = 16384;
 
 struct Cell {
-  std::string variant;
-  std::string clock;
+  std::string variant;  // "orec-short" / "orec-full"
+  std::string clock;    // the family's Clock::kName
   bench::CellResult result;
+
+  // Text-table column, keyed by engine and clock name: "short-gv4", ...
+  std::string Column() const {
+    return (variant == "orec-short" ? "short-" : "full-") + clock;
+  }
 };
 
-template <typename MakeSet>
-Cell Measure(const char* variant, const char* clock, const MakeSet& make_set,
-             const WorkloadConfig& cfg, int threads) {
-  return Cell{variant, clock, bench::MeasureCellDetailed(make_set, cfg, threads)};
+template <typename Family>
+Cell MeasureShort(const WorkloadConfig& cfg, int threads) {
+  return Cell{"orec-short", Family::Clock::kName,
+              bench::MeasureCellDetailed(
+                  [] { return std::make_unique<SpecHashSet<Family>>(kBuckets); }, cfg,
+                  threads)};
+}
+
+template <typename Family>
+Cell MeasureFull(const WorkloadConfig& cfg, int threads) {
+  return Cell{"orec-full", Family::Clock::kName,
+              bench::MeasureCellDetailed(
+                  [] { return std::make_unique<TmHashSet<Family>>(kBuckets); }, cfg,
+                  threads)};
 }
 
 bool Run(const std::string& json_path) {
@@ -48,28 +64,18 @@ bool Run(const std::string& json_path) {
     cfg.key_range = 65536;
     cfg.lookup_pct = lookup_pct;
 
-    std::printf("\nClock-policy scaling (hash table, %d%% lookups)\n", lookup_pct);
-    TextTable table({"threads", "short-gv4", "short-naive", "full-gv4", "full-naive",
-                     "full-local", "abort% (full-gv4)"});
-
+    std::vector<std::string> header{"threads"};
+    std::vector<std::vector<std::string>> rows;
     for (const int t : threads) {
-      std::vector<Cell> cells;
-      cells.push_back(Measure("orec-short", OrecG::Clock::kName,
-                              [] { return std::make_unique<SpecHashSet<OrecG>>(kBuckets); },
-                              cfg, t));
-      cells.push_back(Measure("orec-short", OrecGNaive::Clock::kName,
-                              [] { return std::make_unique<SpecHashSet<OrecGNaive>>(kBuckets); },
-                              cfg, t));
-      cells.push_back(Measure("orec-full", OrecG::Clock::kName,
-                              [] { return std::make_unique<TmHashSet<OrecG>>(kBuckets); },
-                              cfg, t));
-      cells.push_back(Measure("orec-full", OrecGNaive::Clock::kName,
-                              [] { return std::make_unique<TmHashSet<OrecGNaive>>(kBuckets); },
-                              cfg, t));
-      cells.push_back(Measure("orec-full", OrecL::Clock::kName,
-                              [] { return std::make_unique<TmHashSet<OrecL>>(kBuckets); },
-                              cfg, t));
+      const std::vector<Cell> cells = {
+          MeasureShort<OrecG>(cfg, t),      MeasureShort<OrecGv5>(cfg, t),
+          MeasureShort<OrecGv6>(cfg, t),    MeasureShort<OrecGNaive>(cfg, t),
+          MeasureFull<OrecG>(cfg, t),       MeasureFull<OrecGv5>(cfg, t),
+          MeasureFull<OrecGv6>(cfg, t),     MeasureFull<OrecGNaive>(cfg, t),
+          MeasureFull<OrecL>(cfg, t)};
 
+      std::vector<std::string> row{std::to_string(t)};
+      double full_gv4_abort_rate = 0.0;
       for (const Cell& c : cells) {
         BenchRecord r;
         r.variant = c.variant;
@@ -82,15 +88,24 @@ bool Run(const std::string& json_path) {
         r.aborts = c.result.aborts;
         r.duration_s = c.result.duration_s;
         report.Add(r);
-      }
 
-      table.AddRow({std::to_string(t),
-                    TextTable::Num(cells[0].result.ops_per_sec / 1e6, 3),
-                    TextTable::Num(cells[1].result.ops_per_sec / 1e6, 3),
-                    TextTable::Num(cells[2].result.ops_per_sec / 1e6, 3),
-                    TextTable::Num(cells[3].result.ops_per_sec / 1e6, 3),
-                    TextTable::Num(cells[4].result.ops_per_sec / 1e6, 3),
-                    TextTable::Num(cells[2].result.abort_rate * 100.0, 2)});
+        if (rows.empty()) {
+          header.push_back(c.Column());
+        }
+        row.push_back(TextTable::Num(c.result.ops_per_sec / 1e6, 3));
+        if (c.Column() == "full-gv4") {
+          full_gv4_abort_rate = c.result.abort_rate;
+        }
+      }
+      row.push_back(TextTable::Num(full_gv4_abort_rate * 100.0, 2));
+      rows.push_back(std::move(row));
+    }
+    header.push_back("abort% (full-gv4)");
+
+    std::printf("\nClock-policy scaling (hash table, %d%% lookups)\n", lookup_pct);
+    TextTable table(std::move(header));
+    for (std::vector<std::string>& row : rows) {
+      table.AddRow(std::move(row));
     }
     std::printf("(Mops/s)\n%s", table.ToString().c_str());
   }

@@ -1,5 +1,5 @@
-// Read-set / metadata layout ablation (this PR's tentpole sweep): measures the
-// three layout mechanisms end to end and writes BENCH_readset_layout.json.
+// Read-set / metadata layout ablation: measures the read-log layout mechanisms
+// end to end and writes BENCH_readset_layout.json.
 //
 // Axes:
 //   * validation body — "simd" (AVX2 gather-compare over the SoA lanes) vs
@@ -7,12 +7,10 @@
 //     simd_batches / scalar_checks deltas from a deterministic probe pass as
 //     evidence of which body ran. On machines without AVX2 the simd rows
 //     honestly degenerate to scalar (simd_batches == 0).
-//   * orec-table indexing — "hashed" (seed) vs "striped" (orec.h kStriped,
-//     adjacent addresses to guaranteed-distinct cache lines), over hash tables
-//     with swept chain length (buckets = keys / chain), i.e. swept read-set
-//     size per transaction: chains of ~2 barely validate, chains of ~32 walk
-//     read sets long enough for both the batch kernel and table locality to
-//     matter.
+//   * read-set size — hash tables over the hashed orec table (orec.h) with
+//     swept chain length (buckets = keys / chain): chains of ~2 barely
+//     validate, chains of ~32 walk read sets long enough for the batch kernel
+//     to matter.
 //   * WriteSet bloom — every cell reports the wset_bloom_misses delta: the
 //     read-after-write lookups (one per transactional read) absorbed by the
 //     descriptor-resident filter without a hash probe.
@@ -30,8 +28,8 @@
 // versions_retired/chain_splices evidence writers threading displaced values
 // onto chains and the trims bounding them.
 //
-// Single-core caveat as with every trajectory file: numbers from a 1-core
-// container prove plumbing and probe wiring, not separations (bench/README.md).
+// Cite a throughput cell only from a run with threads <= cores and >= 5 runs
+// (bench/README.md).
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -96,8 +94,8 @@ LayoutProbes MeasureProbes(std::size_t buckets) {
 }
 
 template <typename Family>
-void RunChainCell(JsonReport& report, TextTable& table, const char* layout,
-                  bool simd, int chain_len, int threads) {
+void RunChainCell(JsonReport& report, TextTable& table, bool simd, int chain_len,
+                  int threads) {
   SetSimdEnabled(simd);
   const std::size_t buckets = static_cast<std::size_t>(
       kKeyRange / static_cast<std::uint64_t>(chain_len));
@@ -120,7 +118,7 @@ void RunChainCell(JsonReport& report, TextTable& table, const char* layout,
   r.aborts = cell.aborts;
   r.duration_s = cell.duration_s;
   r.has_layout = true;
-  r.layout = layout;
+  r.layout = "hashed";
   r.simd = simd ? "simd" : "scalar";
   r.chain_len = chain_len;
   r.simd_batches = probes.simd_batches;
@@ -128,7 +126,7 @@ void RunChainCell(JsonReport& report, TextTable& table, const char* layout,
   r.wset_bloom_misses = probes.wset_bloom_misses;
   report.Add(r);
 
-  table.AddRow({std::string(layout) + "/" + r.simd, std::to_string(chain_len),
+  table.AddRow({"hashed/" + r.simd, std::to_string(chain_len),
                 TextTable::Num(cell.ops_per_sec / 1e6, 3),
                 TextTable::Num(cell.abort_rate * 100.0, 2),
                 std::to_string(probes.simd_batches),
@@ -432,9 +430,7 @@ bool Run(const std::string& json_path) {
                          "simd-batches", "scalar-checks", "wset-bloom-miss"});
   for (const int chain : kChainLens) {
     for (const bool simd : {false, true}) {
-      RunChainCell<OrecL>(report, chain_table, "hashed", simd, chain, max_threads);
-      RunChainCell<OrecLStriped>(report, chain_table, "striped", simd, chain,
-                                 max_threads);
+      RunChainCell<OrecL>(report, chain_table, simd, chain, max_threads);
     }
   }
   std::fputs(chain_table.ToString().c_str(), stdout);

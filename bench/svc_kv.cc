@@ -17,7 +17,7 @@
 //   * a region-local stripe row (svc-val): a one-shard batch under
 //     cross-stripe churn — stripe_skips > 0 with zero validation walks, the
 //     partitioned counter absorbing a realistic service batch;
-//   * a wide-batch SIMD row (orec-l, KvStore<OrecL>): the passive
+//   * a wide-batch SIMD row (orec-l, KvStore<OrecL>): the
 //     local-clock engine's per-read revalidation over a 64-key batch log
 //     reaching the 4-entry gather kernel (simd_batches > 0 where the ISA has
 //     it). SvcOrec runs on the global clock, whose solo batches never walk;
@@ -25,8 +25,8 @@
 //     churn — snapshot_reads > 0, version_hops > 0, validation_walks == 0,
 //     and snapshot_probe_aborts == 0 (the acceptance columns).
 //
-// Single-core caveat as with every trajectory file: numbers from a 1-core
-// container prove plumbing and probe wiring, not separations (bench/README.md).
+// Cite a throughput cell only from a run with threads <= cores and >= 5 runs
+// (bench/README.md).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -274,7 +274,7 @@ void RunStripeProbe(JsonReport& report, TextTable& table) {
                 std::to_string(r.validation_walks)});
 }
 
-// Wide-batch SIMD probe (orec-l): the passive local-clock engine revalidates
+// Wide-batch SIMD probe (orec-l): the local-clock engine revalidates
 // the growing read log on every read, so a 64-key batch drives the gathered
 // batch kernel. Named explicitly: SvcOrec's global clock never walks here.
 void RunSimdProbe(JsonReport& report, TextTable& table) {
@@ -382,8 +382,6 @@ bool Run(const std::string& json_path) {
     for (const double theta : kThetas) {
       RunServiceCell<SvcOrec>(report, timed, "svc-orec", "baseline", batch,
                               theta, threads);
-      RunServiceCell<SvcOrecPart>(report, timed, "svc-orec-part",
-                                  "partitioned", batch, theta, threads);
       RunServiceCell<SvcVal>(report, timed, "svc-val", "partitioned", batch,
                              theta, threads);
       RunServiceCell<SvcSnapshot>(report, timed, "svc-snapshot", "snapshot",
@@ -396,8 +394,6 @@ bool Run(const std::string& json_path) {
   TextTable amort({"family/strategy", "batch", "batches", "attempts", "desc/op",
                    "p50cyc", "p99cyc"});
   RunAmortizationProbe<SvcOrec>(report, amort, "svc-orec", "baseline");
-  RunAmortizationProbe<SvcOrecPart>(report, amort, "svc-orec-part",
-                                    "partitioned");
   RunAmortizationProbe<SvcVal>(report, amort, "svc-val", "partitioned");
   RunAmortizationProbe<SvcSnapshot>(report, amort, "svc-snapshot", "snapshot");
   std::fputs(amort.ToString().c_str(), stdout);

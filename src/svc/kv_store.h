@@ -17,8 +17,8 @@
 // the region locality the partitioned-NOrec skip (PR 4) was built for, now
 // produced by a service access pattern instead of a synthetic slot pool. On
 // the hash-scattered orec table the homing is inert (the orec of a slot is
-// placement-blind); the store still works, it just measures the partition's
-// overhead there, mirroring the OrecLPart caveat in variants.h.
+// placement-blind, and the orec engines keep no stripe counters); the store
+// works the same there.
 //
 // Batch shape: locate, then read. Every read path runs its batch in two phases
 // inside the one transaction: LocateAll walks every key's bucket chain first,

@@ -55,29 +55,15 @@
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into a validation strategy, fixed at
-// compile time: writers then bump the domain's WriterSummary (commit counter,
-// plus the stripe counters under kPartitioned) while holding their commit
-// locks, and local-clock readers use it to skip the otherwise per-read
-// O(read-set) revalidation (§4.1's "-l" cost). kPassive is the zero-overhead default: no summary, the seed's
-// exact behavior.
-template <typename LayoutT, typename ClockT, typename DomainTag,
-          ValMode kMode = ValMode::kPassive>
+template <typename LayoutT, typename ClockT, typename DomainTag>
 class FullTm {
  public:
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  // Per-stripe counters are a domain-wide writer protocol: only the partitioned
-  // mode pays for them (see WriterSummary's kPartitionedCounters note).
-  using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
+  // Batch-kernel evidence only (simd_batches / scalar_checks): the orec
+  // engines keep no writer summary, so no skip counter moves here.
   using Probe = ValProbe<DomainTag>;
-  static constexpr ValMode kValMode = kMode;
-  using StratState = StrategyState<Summary, Probe, kMode>;
-  // Reader-side strategy only pays off where per-read revalidation exists: the
-  // local-clock families. Global-clock readers keep rv-sampling + extension.
-  static constexpr bool kStrategicReads =
-      kMode != ValMode::kPassive && !Clock::kHasGlobalClock;
 
   class Tx {
    public:
@@ -102,12 +88,6 @@ class FullTm {
       attempt_.Begin(*desc_);
       if constexpr (Clock::kHasGlobalClock) {
         rv_ = Clock::Sample();
-      }
-      if constexpr (kStrategicReads) {
-        // Anchor drawn before the first read (StrategyState), so the skip
-        // argument's "every entry admitted no earlier than the sample it is
-        // judged against" holds for the whole attempt.
-        state_.StartAttempt();
       }
     }
 
@@ -161,9 +141,6 @@ class FullTm {
           return value;
         } else {
           desc_->read_log.PushBack(&orec, o1);
-          if constexpr (kStrategicReads) {
-            state_.NoteRead(&orec);
-          }
           // No snapshot number to compare against: preserve opacity by revalidating
           // the read set after every read (§4.1, the "-l" cost). Fast path: the
           // entry just appended was read through an orec-data-orec sandwich, so it
@@ -173,27 +150,9 @@ class FullTm {
           // read and now was unchanged for the whole interval in between — including
           // the new entry's read instant, which therefore serves as the single
           // consistency point for the full set. A first read validates nothing.
-          //
-          // Strategy fast paths (valstrategy.h): a stable domain commit counter —
-          // or, under kPartitioned, stable read-occupied stripes — proves the
-          // earlier entries unchanged without walking them.
-          if (desc_->read_log.Size() > 1) {
-            bool ok;
-            if constexpr (kStrategicReads) {
-              if (state_.TrySkipRead() == StratState::ReadSkip::kSkipped) {
-                ok = true;
-              } else {
-                // Tracked walk must cover the FULL log, tail included: it
-                // re-anchors the sample, and "valid at the anchor" has to hold
-                // for the entry just read too (valstrategy.h tail rule).
-                ok = ValidatePrefixTracked(desc_->read_log.Size());
-              }
-            } else {
-              ok = ValidateReadLogPrefix(desc_->read_log.Size() - 1);
-            }
-            if (!ok) {
-              return Fail();
-            }
+          if (desc_->read_log.Size() > 1 &&
+              !ValidateReadLogPrefix(desc_->read_log.Size() - 1)) {
+            return Fail();
           }
           return value;
         }
@@ -265,29 +224,10 @@ class FullTm {
         // read set, so adopters always validate.
         skip_validation = stamp.unique && wv == rv_ + 1;
       }
-      Word own_idx = 0;
-      unsigned write_stripes = 0;
-      if constexpr (kMode != ValMode::kPassive) {
-        // Writer summary: bump while every commit lock is held, BEFORE
-        // the commit-time validation below and before any data store or orec
-        // release. Bump-before-validate is what lets the skip paths stay sound
-        // between two crossing committers (valstrategy.h): whichever bumps second
-        // fails its own skip test and walks into the first one's locks.
-        write_stripes = WriteStripesOf<Summary>(
-            desc_->lock_log, [](const LockLogEntry& l) { return l.orec; });
-        own_idx = BumpWriterSummary<Summary, Probe>(desc_, write_stripes);
-      }
-      if constexpr (kStrategicReads) {
-        // Commit-time skip (StrategyState): own_idx == sample + 1 proves no
-        // foreign commit bumped since the log was last known valid (writers that
-        // bump after us validate after our locks are visible and detect us
-        // instead); under kPartitioned the same holds one stripe at a time.
-        // Our own commit locks pin the write set regardless.
-        if (!skip_validation && state_.TrySkipCommit(own_idx, write_stripes)) {
-          skip_validation = true;
-        }
-      }
-      if (!skip_validation && !ValidateReadLogForCommit()) {
+      // Commit-time validation: one walk over the whole log. A foreign lock on
+      // a read-log entry fails it; entries locked by this transaction's own
+      // commit are pinned and valid.
+      if (!skip_validation && !ValidateReadLogPrefix(desc_->read_log.Size())) {
         return false;
       }
       cleanup.Dismiss();  // past the last throwing/failing operation: commit
@@ -328,31 +268,6 @@ class FullTm {
       return 0;
     }
 
-    // Commit-time validation: the plain conservative single walk (a foreign lock
-    // on a read-log entry fails it, which the crossing-committer argument needs).
-    // Entries locked by this transaction's own commit are pinned and valid.
-    bool ValidateReadLogForCommit() const {
-      if constexpr (kStrategicReads) {
-        ++Probe::Get().validation_walks;
-      }
-      return ValidateReadLogPrefix(desc_->read_log.Size());
-    }
-
-    // Tracked walk: one pass (orec versions are monotone, so a single matching
-    // pass is a valid snapshot — no NOrec retry loop needed) plus a best-effort
-    // anchor: the snapshot (global sample + stripe vector) taken before the walk
-    // becomes the new skip anchor only if the global counter is still stable
-    // after it (StrategyState's confirm rule).
-    bool ValidatePrefixTracked(std::size_t count) {
-      ++Probe::Get().validation_walks;
-      const typename StratState::Snapshot pre_walk = state_.DrawSnapshot();
-      if (!ValidateReadLogPrefix(count)) {
-        return false;
-      }
-      state_.ConfirmAnchorAfterWalk(pre_walk);
-      return true;
-    }
-
     // Validates the first `count` read-log entries (the per-read fast path excludes
     // the freshly sandwiched tail entry) through the batch kernel: gather-compare
     // over the SoA lanes where SIMD is enabled, scalar otherwise. The expected-word
@@ -360,9 +275,7 @@ class FullTm {
     // an orec this transaction itself locked at commit time — tolerated iff the
     // displaced body still matches.
     bool ValidateReadLogPrefix(std::size_t count) const {
-      // Forced failure here exercises every abort edge that follows a walk —
-      // including the post-publish one (summary bumped, then abort), which the
-      // soundness argument claims is conservative-but-safe.
+      // Forced failure here exercises every abort edge that follows a walk.
       if (SPECTM_FAILPOINT(failpoint::Site::kPreValidate)) {
         return false;
       }
@@ -439,7 +352,6 @@ class FullTm {
 
     TxDesc* desc_ = nullptr;
     Word rv_ = 0;
-    StratState state_;
     TxAttempt<DomainTag> attempt_;
     bool active_ = false;
     bool user_abort_ = false;

@@ -28,18 +28,16 @@
 
 namespace spectm {
 
-// Striping audit: the table packs eight 8-byte orecs per cache line, so two
+// Packing audit: the table packs eight 8-byte orecs per cache line, so two
 // *adjacent table indices* share a line. That is deliberate — padding 2^20 orecs
 // to a line each would inflate the table from 8 MB to 64 MB and evict the data it
 // protects. What keeps dense packing from becoming systematic false sharing is the
-// indexing policy (orec.h): under kHashed the Fibonacci hash scatters memory-
-// adjacent slots to table indices ~2^61 apart (collision only at the 8/2^20 base
-// probability); under kStriped the low address bits FORCE memory-adjacent slots
-// into segment-distant lines. The global clock and per-thread descriptors are
-// padded instead (clock.h, txdesc.h) because they are single hot words, not a
-// footprint trade.
-template <typename DomainTag, OrecStriping kStriping>
-struct OrecLayoutBase {
+// Fibonacci hash (orec.h), which scatters memory-adjacent slots to table indices
+// ~2^61 apart (collision only at the 8/2^20 base probability). The global clock
+// and per-thread descriptors are padded instead (clock.h, txdesc.h) because they
+// are single hot words, not a footprint trade.
+template <typename DomainTag>
+struct OrecLayout {
   struct Slot {
     std::atomic<Word> value{0};
   };
@@ -48,20 +46,12 @@ struct OrecLayoutBase {
 
   static std::atomic<Word>& OrecOf(Slot& s) { return Table().ForAddr(&s); }
 
-  static OrecTableT<kStriping>& Table() {
+  static OrecTable& Table() {
     // leaked: program-lifetime
-    static OrecTableT<kStriping>* table = new OrecTableT<kStriping>(kOrecTableLog2);
+    static OrecTable* table = new OrecTable(kOrecTableLog2);
     return *table;
   }
 };
-
-// The seed layout: hashed indexing, bit-for-bit the original behavior.
-template <typename DomainTag>
-struct OrecLayout : OrecLayoutBase<DomainTag, OrecStriping::kHashed> {};
-
-// Cache-line-striped indexing ablation (bench/abl_readset_layout).
-template <typename DomainTag>
-struct OrecLayoutStriped : OrecLayoutBase<DomainTag, OrecStriping::kStriped> {};
 
 template <typename DomainTag>
 struct TvarLayout {

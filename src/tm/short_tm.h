@@ -40,31 +40,16 @@
 #include "src/tm/serial.h"
 #include "src/tm/txdesc.h"
 #include "src/tm/txguard.h"
-#include "src/tm/valstrategy.h"
 
 namespace spectm {
 
-// kMode (valstrategy.h) opts the family into a validation strategy, fixed at
-// compile time: RW commits and single-op writers bump the domain's WriterSummary
-// while holding their orec locks, and RO readers carry a persistent counter sample so an unchanged
-// counter (or, under kPartitioned, unchanged read-occupied stripes) skips the
-// per-read RO-prefix revalidation.
-// kPassive is the zero-overhead default: no summary, the seed's exact behavior.
-template <typename LayoutT, typename ClockT, typename DomainTag,
-          ValMode kMode = ValMode::kPassive>
+template <typename LayoutT, typename ClockT, typename DomainTag>
 class ShortTm {
  public:
   using Layout = LayoutT;
   using Clock = ClockT;
   using Slot = typename Layout::Slot;
-  // Per-stripe counters are a domain-wide writer protocol: only the partitioned
-  // mode pays for them (see WriterSummary's kPartitionedCounters note).
-  using Summary = WriterSummary<DomainTag, kMode == ValMode::kPartitioned>;
-  using Probe = ValProbe<DomainTag>;
   using Gate = SerialGate<DomainTag>;
-  static constexpr ValMode kValMode = kMode;
-  static constexpr bool kStrategic = kMode != ValMode::kPassive;
-  using StratState = StrategyState<Summary, Probe, kMode>;
 
   // The TX_RECORD of Figure 2: stack-allocated, fixed-size, reusable after Abort().
   class ShortTx {
@@ -167,33 +152,10 @@ class ShortTm {
         // Fast path: the entry just sandwiched is consistent at its own read
         // instant; only EARLIER entries need re-checking (orec versions are
         // monotone, so matching then-and-now means unchanged in between — including
-        // at this read's instant, the common consistency point). The first RO read
-        // validates nothing.
-        //
-        // Strategy fast paths (valstrategy.h): the persistent sample_ names a
-        // domain-counter value at which the whole RO log was valid; a stable
-        // counter — or, under kPartitioned, stable read-occupied stripes — skips
-        // the walk.
-        // The tracked walk runs AFTER the push so the entry just read is covered
-        // by the re-anchored sample too (valstrategy.h tail rule); the passive
-        // walk keeps the seed's prefix-only shape, whose result is not reused.
-        if constexpr (kStrategic) {
-          state_.NoteRead(&orec);
-        }
-        bool prefix_ok = true;
-        if constexpr (kStrategic) {
-          const bool first_ro = ro_.Empty();
-          ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
-          if (!first_ro &&
-              state_.TrySkipRead() == StratState::ReadSkip::kMustWalk) {
-            prefix_ok = ValidateRoPrefixTracked(ro_.Size());
-          }
-        } else {
-          if (!ro_.Empty()) {
-            prefix_ok = ValidateRoPrefix(ro_.Size());
-          }
-          ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
-        }
+        // at this read's instant, the common consistency point), so the walk runs
+        // before the new entry is logged. The first RO read validates nothing.
+        const bool prefix_ok = ro_.Empty() || ValidateRo();
+        ro_.PushBack(RoEntry{s, &orec, OrecVersionOf(o1)});
         if (!prefix_ok) {
           valid_ = false;
           return 0;
@@ -210,13 +172,20 @@ class ShortTm {
     // successful call serves in place of commit (§2.2: "Successful validation serves
     // in the place of commit").
     bool ValidateRo() const {
-      if constexpr (kStrategic) {
-        if (state_.TrySkipRead() == StratState::ReadSkip::kSkipped) {
-          return true;
-        }
-        return ValidateRoPrefixTracked(ro_.Size());
+      if (SPECTM_FAILPOINT(failpoint::Site::kPreValidate)) {
+        return false;
       }
-      return ValidateRoPrefix(ro_.Size());
+      for (const RoEntry& e : ro_) {
+        const Word w = e.orec->load(std::memory_order_acquire);
+        if (w == MakeOrecVersion(e.version)) {
+          continue;
+        }
+        if (OrecIsLocked(w) && OrecOwnerOf(w) == desc_) {
+          continue;  // upgraded by us; the lock pins it
+        }
+        return false;
+      }
+      return true;
     }
 
     // Tx_Upgrade_RO_x_To_RW_y: promote the ro_index-th read into the write set by
@@ -264,7 +233,6 @@ class ShortTm {
     bool CommitRw(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size() && "commit arity must match RW access count");
-      BumpForCommit();  // before the data stores, while every lock is held
       const Word* v = values.begin();
       for (std::size_t i = 0; i < rw_.Size(); ++i) {
         Layout::Data(*rw_[i].slot).store(v[i], std::memory_order_release);
@@ -277,35 +245,10 @@ class ShortTm {
     // Tx_RO_x_RW_y_Commit: validates the remaining RO entries, then commits the RW
     // set. Returns false — with all locks released and values untouched — if
     // validation fails; the caller restarts.
-    //
-    // Writer-summary order: bump BEFORE the final RO validation
-    // (bump-before-validate, valstrategy.h): of two crossing committers the one
-    // that bumps second fails its own-idx skip test and walks into the other's
-    // encounter-time locks. A pure-RO mixed commit (empty RW set) holds no locks,
-    // bumps nothing, and validates the ordinary way.
     bool CommitMixed(std::initializer_list<Word> values) {
       assert(valid_ && !finished_);
       assert(values.size() == rw_.Size());
-      bool ro_ok;
-      if constexpr (kStrategic) {
-        if (rw_.Empty()) {
-          ro_ok = ValidateRo();
-        } else {
-          unsigned write_stripes = 0;
-          const Word own_idx = BumpForCommit(&write_stripes);
-          if (state_.TrySkipCommit(own_idx, write_stripes)) {
-            ro_ok = true;
-          } else {
-            // Plain conservative walk: a foreign lock fails it, which the
-            // crossing-committer argument requires at commit time.
-            ++Probe::Get().validation_walks;
-            ro_ok = ValidateRoPrefix(ro_.Size());
-          }
-        }
-      } else {
-        ro_ok = ValidateRo();
-      }
-      if (!ro_ok) {
+      if (!ValidateRo()) {
         Abort();
         return false;
       }
@@ -368,17 +311,10 @@ class ShortTm {
     // genuine displaced orec word, which is always an even version.
     static constexpr Word kAlreadyOwned = ~Word{0};
 
-    // Re-arms the strategy state for a fresh attempt (StrategyState: anchor
-    // drawn BEFORE any read — the skip soundness argument needs the sample no
-    // later than the first read). Also the escalation checkpoint: past the
-    // (hysteretic) abort-streak threshold this attempt takes the serialization
-    // token up front and cannot conflict thereafter.
-    void StartAttempt() {
-      attempt_.Begin(*desc_);
-      if constexpr (kStrategic) {
-        state_.StartAttempt();
-      }
-    }
+    // The escalation checkpoint: past the (hysteretic) abort-streak threshold
+    // this attempt takes the serialization token up front and cannot conflict
+    // thereafter.
+    void StartAttempt() { attempt_.Begin(*desc_); }
 
     // Restores every displaced orec word recorded in the RW set. Shared by
     // Abort() and the overflow unwind; hash-collision repeats (kAlreadyOwned)
@@ -412,60 +348,6 @@ class ShortTm {
       valid_ = false;
     }
 
-    // Writer-side summary bump (valstrategy.h BumpWriterSummary) while all
-    // orec locks are held, before any data store and before the final commit
-    // validation. Returns the writer's own commit index (0 when nothing was
-    // bumped) and, via `out_stripes`, the stripe mask it bumped. A pure-RO
-    // commit (empty RW set) releases nothing and must not move the counter.
-    Word BumpForCommit(unsigned* out_stripes = nullptr) {
-      if constexpr (kStrategic) {
-        if (!rw_.Empty()) {
-          const unsigned stripes =
-              WriteStripesOf<Summary>(rw_, [](const RwEntry& e) { return e.orec; });
-          if (out_stripes != nullptr) {
-            *out_stripes = stripes;
-          }
-          return BumpWriterSummary<Summary, Probe>(desc_, stripes);
-        }
-      }
-      return 0;
-    }
-
-    // Tracked walk: one pass (orec versions are monotone, so a single matching
-    // pass is a valid snapshot) plus the best-effort anchor confirm
-    // (StrategyState): the pre-walk sample becomes the new skip anchor only if
-    // the counter stayed stable across the walk; otherwise the walk result
-    // stands but the anchor is invalidated.
-    bool ValidateRoPrefixTracked(std::size_t count) const {
-      ++Probe::Get().validation_walks;
-      const typename StratState::Snapshot pre_walk = state_.DrawSnapshot();
-      if (!ValidateRoPrefix(count)) {
-        return false;
-      }
-      state_.ConfirmAnchorAfterWalk(pre_walk);
-      return true;
-    }
-
-    // Validates the first `count` RO entries (the per-read fast path excludes the
-    // freshly sandwiched tail entry).
-    bool ValidateRoPrefix(std::size_t count) const {
-      if (SPECTM_FAILPOINT(failpoint::Site::kPreValidate)) {
-        return false;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        const RoEntry& e = ro_[i];
-        const Word w = e.orec->load(std::memory_order_acquire);
-        if (w == MakeOrecVersion(e.version)) {
-          continue;
-        }
-        if (OrecIsLocked(w) && OrecOwnerOf(w) == desc_) {
-          continue;  // upgraded by us; the lock pins it
-        }
-        return false;
-      }
-      return true;
-    }
-
     void ReleaseLocksCommitted() {
       if (rw_.Empty()) {
         return;  // nothing locked: no orecs to release, no timestamp to draw
@@ -493,7 +375,6 @@ class ShortTm {
     TxDesc* desc_;
     InlineVec<RwEntry, kMaxShortWrites> rw_;
     InlineVec<RoEntry, kMaxShortReads> ro_;
-    StratState state_;
     TxAttempt<DomainTag> attempt_;
     bool valid_ = true;
     bool finished_ = false;
@@ -537,10 +418,6 @@ class ShortTm {
     TxUnwindGuard lock_guard([&orec, old_word] {
       orec.store(old_word, std::memory_order_release);
     });
-    if constexpr (kStrategic) {
-      // Locked, before the data store.
-      BumpWriterSummary<Summary, Probe>(self, StripeBitOf<Summary>(&orec));
-    }
     Layout::Data(*s).store(value, std::memory_order_release);
     Word wv = 0;
     if constexpr (Clock::kHasGlobalClock) {
@@ -568,10 +445,6 @@ class ShortTm {
     const Word observed = Layout::Data(*s).load(std::memory_order_acquire);
     if (observed != expected) {
       return observed;
-    }
-    if constexpr (kStrategic) {
-      // Locked, before the data store.
-      BumpWriterSummary<Summary, Probe>(self, StripeBitOf<Summary>(&orec));
     }
     Layout::Data(*s).store(desired, std::memory_order_release);
     Word wv = 0;

@@ -129,31 +129,74 @@ struct GlobalCounterValidation {
   }
 };
 
-// Global counter + per-stripe counters (partitioned NOrec, valstrategy.h): a
-// thin facade over WriterSummary — ONE implementation of the striped counter
-// protocol serves both the orec and the val layouts — on a private domain tag,
-// so families on this policy form their own validation domain.
+// Global counter + per-stripe counters (partitioned NOrec, valstrategy.h): the
+// precise commit counter plus kCounterStripes cache-line-separated stripe
+// counters. Writers bump ONLY the stripes their write set touches — two
+// committers in disjoint regions no longer exchange a counter line — and bump
+// them BEFORE the global counter, so any commit a global sample counts already
+// has its stripe bumps visible. The protocol is writer-side, so it belongs to
+// the whole summary domain: every family on this policy (or on
+// SnapshotValidation, which inherits it) bumps stripes, whatever its readers'
+// strategy.
 struct StripedCounterValidation {
-  struct SummaryDomainTag {};
-  using Summary = WriterSummary<SummaryDomainTag>;
-
   static constexpr const char* kName = "striped-counter";
   static constexpr bool kPrecise = true;
-  static constexpr bool kPartitioned = Summary::kPartitioned;
+  static constexpr bool kPartitioned = true;
   static constexpr bool kMvcc = false;
 
-  static Word Sample() { return Summary::Sample(); }
-  static bool Stable(Word sample) { return Summary::Stable(sample); }
-  static Word StripeNow(int s) { return Summary::StripeNow(s); }
-  static StripeSample StripeSampleNow() { return Summary::StripeSampleNow(); }
+  static std::atomic<Word>& Counter() {
+    static CacheAligned<std::atomic<Word>> counter;
+    return *counter;
+  }
 
-  // Returns the writer's own commit index (see WriterSummary::Bump for the
-  // commit-skip contract it feeds and the stripe-mask protocol). A writer path
-  // with no cheap write-set enumeration keeps the all-stripes default: readers
-  // then walk for that commit, never skip unsoundly.
+  static std::atomic<Word>& StripeCounter(int s) {
+    static CacheAligned<std::atomic<Word>> counters[kCounterStripes];
+    return *counters[s];
+  }
+
+  static Word Sample() { return Counter().load(std::memory_order_seq_cst); }
+  static bool Stable(Word sample) { return Sample() == sample; }
+  static Word StripeNow(int s) {
+    return StripeCounter(s).load(std::memory_order_seq_cst);
+  }
+  static StripeSample StripeSampleNow() {
+    StripeSample x;
+    for (int s = 0; s < kCounterStripes; ++s) {
+      x.v[s] = StripeNow(s);
+    }
+    return x;
+  }
+
+  // Returns the writer's own commit index, which the commit-skip test compares
+  // against the sample anchor: own_idx == sample + 1 proves no FOREIGN bump
+  // lies between anchor and bump (later writers validate after this writer's
+  // locks are visible and detect them — the crossing-committer note in
+  // valstrategy.h).
+  //
+  // `stripe_mask` names the counter stripes the write set occupies (bit s set =
+  // some locked word lives in stripe s). A writer path with no cheap write-set
+  // enumeration keeps the all-stripes default, which readers absorb as "every
+  // stripe moved": they walk for that commit, never skip unsoundly. The whole
+  // sequence runs while every commit lock is held, before the commit-time
+  // validation and the releasing stores, so each stripe inherits the global
+  // bump-before-validate discipline.
   static Word OnWriterCommit(TxDesc* /*self*/,
                              unsigned stripe_mask = kAllCounterStripesMask) {
-    return Summary::Bump(stripe_mask);
+    // Fault injection (no-ops in production): widen the stripe-bumps vs
+    // global-bump gap the ordering argument above closes.
+    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreStripeBump);
+    for (int s = 0; s < kCounterStripes; ++s) {
+      if ((stripe_mask >> s) & 1u) {
+        StripeCounter(s).fetch_add(1, std::memory_order_seq_cst);
+      }
+    }
+    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreBump);
+    const Word idx = Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
+    // Bumped, locks still held: a pause site (delay/throw injection) that is
+    // also a schedule point under SPECTM_SCHED, so the explorer drives readers
+    // and crossing committers through the bump -> release window both ways.
+    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
+    return idx;
   }
 };
 

@@ -1,10 +1,11 @@
-// Validation strategies: the machinery that cuts per-read revalidation cost for
-// the families that opt in, each with one strategy fixed when the family is built.
+// Validation strategies of the val layout: the machinery that cuts per-read
+// revalidation cost for the val families (val_full.h, val_short.h), each with
+// one strategy fixed when the family is built.
 //
-// The paper's local-clock and value-based variants pay O(read-set) revalidation on
-// every read to preserve opacity (§4.1, Figure 5) — the cost behind the Figs 7–9
-// crossovers. A family's ValMode names its remedy, and StrategyState resolves it
-// at compile time (StrategyFor below) to one of:
+// Value-based validation pays O(read-set) revalidation on every read to preserve
+// opacity (§2.4, Figure 5) — the cost behind the Figs 7–9 crossovers. A val
+// family's ValMode names its remedy, and StrategyState resolves it at compile
+// time (StrategyFor below) to one of:
 //
 //   kCounterSkip — NOrec's precise-counter skip: a domain-wide commit counter that
 //     every writer bumps while holding its locks, before its releasing stores.
@@ -27,17 +28,21 @@
 // The skip ladder is two steps: a stable counter (or, under kStripe, stable
 // read-occupied stripes) skips the walk; anything else walks. Which families
 // run which strategy, and the bench cell behind each choice, is tabulated in
-// docs/ARCHITECTURE.md.
+// docs/ARCHITECTURE.md. The orec engines (full_tm.h, short_tm.h) keep the
+// paper's two plain validation designs instead — "-g" extends its timebase
+// against the global clock, "-l" walks after every read — and bump no summary:
+// on the hash-scattered orec table the shared counter line cost more than the
+// walks it saved (docs/ARCHITECTURE.md, "Family composition").
 //
 // Soundness of the skip paths (NOrec discipline):
 //   * Writer protocol: acquire ALL commit locks, bump, validate (or skip), only
 //     then perform the releasing stores. The lock is held across the whole
 //     bump..release window, so a writer whose bump predates a reader's sample is
 //     visibly locked on (or already done with) every location it will store to.
-//   * Every read-log entry was admitted through an unlocked observation (val-layout
-//     reads spin past locks; orec reads sandwich an unlocked orec), so any writer
-//     that had bumped before the reader's sample had already finished with that
-//     location — its later stores cannot touch it.
+//   * Every read-log entry was admitted through an unlocked observation (reads
+//     spin past a locked word), so any writer that had bumped before the
+//     reader's sample had already finished with that location — its later
+//     stores cannot touch it.
 //   * Therefore "counter unchanged since sample" => every logged location is
 //     unchanged, and the newest read instant is a consistency point for the whole
 //     log.
@@ -57,28 +62,24 @@
 // retire). With bump-before-validate, a committing writer may only skip when NO
 // foreign bump lies in (its sample anchor, its own bump]; of two crossing
 // committers one always bumps second, and that one's validation runs after the
-// first's locks are in place — the locked-orec (or locked-word) check then kills
-// it. The commit-time walk must therefore stay conservative: a foreign lock on a
-// read-log entry fails validation even though the underlying version is intact.
+// first's locks are in place — the locked-word check then kills it. The
+// commit-time walk must therefore stay conservative: a foreign lock on a
+// read-log entry fails validation even though the underlying value is intact.
 #ifndef SPECTM_TM_VALSTRATEGY_H_
 #define SPECTM_TM_VALSTRATEGY_H_
 
 #include <atomic>
 #include <cstdint>
 
-#include "src/common/cacheline.h"
-#include "src/common/failpoint.h"
 #include "src/common/tagged.h"
 #include "src/tm/txdesc.h"
 
 namespace spectm {
 
-// Per-family validation mode. kPassive is the zero-overhead default (no summary
-// maintenance at all — existing families are bit-for-bit unchanged); kIncremental
-// maintains the writer summary but never consults it (measures pure maintenance
-// overhead); the rest consult it as described above.
+// Per-family validation mode of a val family. kIncremental maintains the
+// writer summary but never consults it (measures pure maintenance overhead);
+// the rest consult it as described above.
 enum class ValMode : std::uint8_t {
-  kPassive,
   kIncremental,
   kCounterSkip,
   kPartitioned,
@@ -99,7 +100,6 @@ enum class ValStrategy : std::uint8_t { kIncremental, kCounterSkip, kStripe };
 // a strategy at all (chain reads).
 constexpr ValStrategy StrategyFor(ValMode mode, bool partitioned_summary) {
   switch (mode) {
-    case ValMode::kPassive:
     case ValMode::kIncremental:
       return ValStrategy::kIncremental;
     case ValMode::kCounterSkip:
@@ -122,11 +122,7 @@ constexpr ValStrategy StrategyFor(ValMode mode, bool partitioned_summary) {
 // metadata is co-located with the data (the val layout, §2.4), a structurally
 // local read set — a btree leaf-chain scan, a node's field cluster — occupies few
 // stripes no matter how many ENTRIES it has, so writers elsewhere in the
-// structure leave its anchor alone. On the hash-scattered shared orec table the
-// stripe of an orec is effectively random, so wide orec read sets still occupy
-// every stripe; the region partition only degrades to the whole-counter
-// behavior there, never below it (ROADMAP notes the striped-table alignment as
-// follow-up).
+// structure leave its anchor alone.
 inline constexpr int kCounterStripes = 4;
 inline constexpr int kCounterStripeShift = 12;  // 4 KiB regions
 inline constexpr unsigned kAllCounterStripesMask = (1u << kCounterStripes) - 1;
@@ -150,99 +146,6 @@ inline int CountStripeBits(unsigned mask) {
 // read-stripe mask occupies; the rest are whatever the draw happened to load.
 struct StripeSample {
   Word v[kCounterStripes] = {};
-};
-
-// Per-domain writer summary for orec-based families: the precise commit counter
-// plus, for partitioned domains, the per-stripe counters. Writers call Bump()
-// after acquiring all commit locks, BEFORE their commit-time validation and any
-// data store or orec release (the ordering the soundness argument above depends
-// on). The val layout reaches the same machinery through its ValidationPolicy
-// (StripedCounterValidation in val_word.h).
-//
-// Summary concept (shared with the ValidationPolicy classes in val_word.h, so
-// StrategyState below can drive either): Sample/Stable and kPartitioned, plus
-// StripeNow/StripeSampleNow where kPartitioned is true.
-// `kPartitionedCounters` opts the DOMAIN into partitioned NOrec: per-stripe
-// commit counters alongside the precise global counter (which remains the
-// commit-skip own_idx). Writers then bump ONLY the
-// stripes their write set touches — cache-line-separated, so two committers in
-// disjoint regions no longer exchange a counter line — and bump them BEFORE the
-// global counter, so any commit counted by a global sample already has its
-// stripe bumps visible. It is a compile-time property of the whole domain
-// because the protocol is writer-side: a domain with any kStripe reader needs
-// EVERY writer bumping stripes; conversely a domain with none should not pay
-// the extra seq-cst RMWs on its commit path (the orec ablation families each
-// own a private domain, so they opt in per family; the val families share one
-// summary domain, which therefore stays partitioned for ValPart's readers).
-template <typename DomainTag, bool kPartitionedCounters = true>
-struct WriterSummary {
-  static constexpr bool kPartitioned = kPartitionedCounters;
-
-  static std::atomic<Word>& Counter() {
-    static CacheAligned<std::atomic<Word>> counter;
-    return *counter;
-  }
-
-  static std::atomic<Word>& StripeCounter(int s) {
-    static CacheAligned<std::atomic<Word>> counters[kCounterStripes];
-    return *counters[s];
-  }
-
-  static Word StripeNow(int s) {
-    return StripeCounter(s).load(std::memory_order_seq_cst);
-  }
-
-  static StripeSample StripeSampleNow() {
-    StripeSample x;
-    for (int s = 0; s < kCounterStripes; ++s) {
-      x.v[s] = StripeNow(s);
-    }
-    return x;
-  }
-
-  static Word Sample() { return Counter().load(std::memory_order_seq_cst); }
-  static bool Stable(Word sample) { return Sample() == sample; }
-
-  // Returns the writer's own commit index. Commit-time skip tests compare it
-  // against the sample anchor: own_idx == sample + 1 proves no FOREIGN bump lies
-  // between anchor and bump (later writers validate after this writer's locks are
-  // visible and detect them — see the crossing-committer note above).
-  //
-  // `stripe_mask` names the counter stripes the write set occupies (bit s set =
-  // some locked metadata word lives in stripe s); callers that cannot enumerate
-  // their write set pass kAllCounterStripesMask, which readers absorb as "every
-  // stripe moved" — conservative, never unsound. Stripe bumps precede the global
-  // bump (see kPartitioned above), and the whole sequence runs while every
-  // commit lock is held, before the commit-time validation and the releasing
-  // stores — each stripe inherits the global bump-before-validate discipline.
-  static Word Bump(unsigned stripe_mask = kAllCounterStripesMask) {
-    if constexpr (kPartitioned) {
-      // Fault injection (no-ops in production): widen the stripe-bumps vs
-      // global-bump gap the ordering argument above closes.
-      SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreStripeBump);
-      for (int s = 0; s < kCounterStripes; ++s) {
-        if ((stripe_mask >> s) & 1u) {
-          StripeCounter(s).fetch_add(1, std::memory_order_seq_cst);
-        }
-      }
-    } else {
-      (void)stripe_mask;  // non-partitioned domain: the global bump is the protocol
-    }
-    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPreBump);
-    const Word idx = Counter().fetch_add(1, std::memory_order_seq_cst) + 1;
-    // Bumped, locks still held: a pause site (delay/throw injection) that is
-    // also a schedule point under SPECTM_SCHED, so the explorer drives readers
-    // and crossing committers through the bump -> release window both ways.
-    SPECTM_FAILPOINT_PAUSE(failpoint::Site::kPostBump);
-    return idx;
-  }
-
-  // The writer entry point of the summary concept, shared with the val
-  // layout's ValidationPolicy classes (val_word.h) so BumpWriterSummary below
-  // drives either.
-  static Word OnWriterCommit(TxDesc* /*self*/, unsigned stripe_mask) {
-    return Bump(stripe_mask);
-  }
 };
 
 // The stripe bit a write to `metadata_word` contributes to a writer's bump
@@ -276,7 +179,7 @@ unsigned WriteStripesOf(const Range& writes, MetaOf meta_of) {
 }
 
 // The writer-summary bump of one committer — full and short commits and
-// single-op writers, on every layout. Runs while every lock of the write set
+// single-op writers of the val layout. Runs while every lock of the write set
 // is held, before the commit-time validation and the releasing stores (the
 // ordering argued above). Counts the stripe bumps into ProbeT under a
 // partitioned summary. Returns the writer's own commit index (0 for summaries
@@ -329,23 +232,23 @@ struct ValProbe {
   static void Reset() { Get() = Counters{}; }
 };
 
-// Per-attempt strategy state, shared by all four engines (full/short x orec/val).
+// Per-attempt strategy state of the two val engines (val_full.h, val_short.h).
 // Owns the persistent counter anchor (global sample AND, for the stripe
 // strategy, the per-stripe sample vector), the read-stripe mask, and the
-// counter/stripe skip ladder. SummaryT is anything satisfying the summary
-// concept (WriterSummary, or a ValidationPolicy from val_word.h); ProbeT is the
-// family's ValProbe; kMode is the family's mode, resolved once to kStrategy.
+// counter/stripe skip ladder. SummaryT is the family's ValidationPolicy
+// (val_word.h: Sample/Stable and kPartitioned, plus StripeNow/StripeSampleNow
+// where kPartitioned is true); ProbeT is the family's ValProbe; kMode is the
+// family's mode, resolved once to kStrategy.
 //
-// The anchor invariant every user maintains: `sample()` (when `sample_valid()`)
-// names a summary-counter value at which the ENTIRE read log was simultaneously
-// valid, and the stripe vector (when stripe-valid) was drawn at the same
-// anchoring event, so "every READ-occupied stripe unchanged" proves the same
-// thing one shard at a time (docs/VALIDATION.md carries the per-stripe
-// re-derivation). Anchor() establishes both before the first read of an attempt;
-// tracked walks re-establish them via ConfirmAnchorAfterWalk (tail rule: such
-// walks must cover the whole log). Mutating members are mutable + const because
-// engines call the skip paths from const validation paths (short_tm's
-// ValidateRo).
+// The anchor invariant every user maintains: `sample()` names a summary-counter
+// value at which the ENTIRE read log was simultaneously valid, and the stripe
+// vector was drawn at the same anchoring event, so "every READ-occupied stripe
+// unchanged" proves the same thing one shard at a time (docs/VALIDATION.md
+// carries the per-stripe re-derivation). Anchor() establishes both before the
+// first read of an attempt; the engines' stability loops re-establish them via
+// ReanchorStable (tail rule: such walks must cover the whole log). Mutating
+// members are mutable + const because engines call the skip paths from const
+// validation paths (val_short's ValidateRo).
 template <typename SummaryT, typename ProbeT, ValMode kMode>
 class StrategyState {
  public:
@@ -374,17 +277,14 @@ class StrategyState {
   }
 
   Word sample() const { return sample_; }
-  bool sample_valid() const { return sample_valid_; }
   unsigned read_stripe_mask() const { return read_stripe_mask_; }
 
   void Anchor() const {
     sample_ = SummaryT::Sample();
-    sample_valid_ = true;
     if constexpr (kStrategy == ValStrategy::kStripe) {
       // The stripe vector costs kCounterStripes extra seq-cst loads; only the
       // kStripe strategy ever consults it, so other strategies skip the draw.
       stripe_sample_ = SummaryT::StripeSampleNow();
-      stripe_valid_ = true;
     }
   }
 
@@ -404,12 +304,12 @@ class StrategyState {
     if constexpr (kStrategy == ValStrategy::kIncremental) {
       return ReadSkip::kMustWalk;
     } else {
-      if (sample_valid_ && SummaryT::Stable(sample_)) {
+      if (SummaryT::Stable(sample_)) {
         ++ProbeT::Get().counter_skips;
         return ReadSkip::kSkipped;
       }
       if constexpr (kStrategy == ValStrategy::kStripe) {
-        if (sample_valid_ && stripe_valid_ && StripesUnchanged()) {
+        if (StripesUnchanged()) {
           ++ProbeT::Get().stripe_skips;
           return ReadSkip::kSkipped;
         }
@@ -434,9 +334,6 @@ class StrategyState {
     if constexpr (kStrategy == ValStrategy::kIncremental) {
       return false;
     }
-    if (!sample_valid_) {
-      return false;
-    }
     const bool counter_ok = own_idx != 0
                                 ? own_idx == sample_ + 1
                                 : SummaryT::Sample() == sample_ + 1;
@@ -445,7 +342,7 @@ class StrategyState {
       return true;
     }
     if constexpr (kStrategy == ValStrategy::kStripe) {
-      if (stripe_valid_ && StripesUnchangedWithOwn(write_stripe_mask)) {
+      if (StripesUnchangedWithOwn(write_stripe_mask)) {
         ++ProbeT::Get().stripe_skips;
         return true;
       }
@@ -453,8 +350,8 @@ class StrategyState {
     return false;
   }
 
-  // Snapshot for tracked walks and the val engines' stability loops: global
-  // sample first, then the stripe vector (see Snapshot for why this order).
+  // Snapshot for the engines' stability loops: global sample first, then the
+  // stripe vector (see Snapshot for why this order).
   Snapshot DrawSnapshot() const {
     Snapshot snap;
     snap.global = SummaryT::Sample();
@@ -464,40 +361,17 @@ class StrategyState {
     return snap;
   }
 
-  // Tracked-walk anchoring: call with a Snapshot drawn BEFORE the walk. The
-  // pre-walk snapshot becomes the new anchor only if the global counter stayed
-  // stable across the walk (a writer that bumped mid-walk may have released
-  // mid-walk too); a stable global also vouches for the stripe vector — no
-  // commit completed, and an in-flight writer's pending stripe bump either
-  // predates the vector (its still-held locks then failed the walk on any
-  // logged target) or postdates it (its eventual release is caught as stripe
-  // movement). On a failed confirm the walk's result stands but both anchors
-  // are invalidated, so later skips walk until a quiet window re-anchors.
-  void ConfirmAnchorAfterWalk(const Snapshot& pre_walk) const {
-    if (SummaryT::Stable(pre_walk.global)) {
-      sample_ = pre_walk.global;
-      sample_valid_ = true;
-      if constexpr (kStrategy == ValStrategy::kStripe) {
-        stripe_sample_ = pre_walk.stripes;
-        stripe_valid_ = true;
-      }
-    } else {
-      sample_valid_ = false;
-      if constexpr (kStrategy == ValStrategy::kStripe) {
-        stripe_valid_ = false;
-      }
-    }
-  }
-
-  // Direct re-anchor for walks that themselves loop until the global counter is
-  // stable across a full pass (the val engines' NOrec-style ValidateReads); the
-  // snapshot must be the one drawn before that pass.
+  // Re-anchor for walks that loop until the global counter is stable across a
+  // full pass of the whole log (the val engines' NOrec-style ValidateReads and
+  // ValidateRo); the snapshot must be the one drawn before that pass. A stable
+  // global also vouches for the stripe vector: no commit completed, and an
+  // in-flight writer's pending stripe bump either predates the vector (its
+  // still-held locks then failed the pass on any logged target) or postdates
+  // it (its eventual release is caught as stripe movement).
   void ReanchorStable(const Snapshot& stable) const {
     sample_ = stable.global;
-    sample_valid_ = true;
     if constexpr (kStrategy == ValStrategy::kStripe) {
       stripe_sample_ = stable.stripes;
-      stripe_valid_ = true;
     }
   }
 
@@ -536,8 +410,6 @@ class StrategyState {
   mutable Word sample_ = 0;
   mutable StripeSample stripe_sample_;
   unsigned read_stripe_mask_ = 0;
-  mutable bool sample_valid_ = false;
-  mutable bool stripe_valid_ = false;
 };
 
 }  // namespace spectm

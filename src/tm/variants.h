@@ -33,17 +33,16 @@ namespace spectm {
 namespace internal {
 
 template <typename Tag, template <typename> class LayoutTmpl,
-          template <typename> class ClockTmpl, ValMode kMode = ValMode::kPassive>
+          template <typename> class ClockTmpl>
 struct OrecBasedFamily {
   using DomainTag = Tag;
   using Layout = LayoutTmpl<Tag>;
   using Clock = ClockTmpl<Tag>;
-  using Full = FullTm<Layout, Clock, Tag, kMode>;
-  using Short = ShortTm<Layout, Clock, Tag, kMode>;
+  using Full = FullTm<Layout, Clock, Tag>;
+  using Short = ShortTm<Layout, Clock, Tag>;
   using Slot = typename Layout::Slot;
   using FullTx = typename Full::Tx;
   using ShortTx = typename Short::ShortTx;
-  static constexpr ValMode kValMode = kMode;
 
   static Word SingleRead(Slot* s) { return Short::SingleRead(s); }
   static void SingleWrite(Slot* s, Word v) { Short::SingleWrite(s, v); }
@@ -110,7 +109,10 @@ struct OrecGNaiveTag {};
 // Shared orec table + global version clock (Figure 3(a)). The global clock is the
 // GV4 pass-on-failure policy with a thread-local sample cache (clock.h).
 using OrecG = internal::OrecBasedFamily<OrecGTag, OrecLayout, GlobalClockPolicy>;
-// Shared orec table + per-orec version numbers.
+// Shared orec table + per-orec version numbers: with no clock to compare against,
+// every read revalidates the whole read set (§4.1). No writer summary and no
+// skip — on this table the counter skip cost more than the walks it saved
+// (docs/ARCHITECTURE.md, "Family composition").
 using OrecL = internal::OrecBasedFamily<OrecLTag, OrecLayout, LocalClockPolicy>;
 // Co-located TVar meta-data + global clock (Figure 3(b)).
 using TvarG = internal::OrecBasedFamily<TvarGTag, TvarLayout, GlobalClockPolicy>;
@@ -123,15 +125,6 @@ using TvarL = internal::OrecBasedFamily<TvarLTag, TvarLayout, LocalClockPolicy>;
 // the defaults.
 using OrecGNaive = internal::OrecBasedFamily<OrecGNaiveTag, OrecLayout, GlobalClockNaive>;
 
-// Orec-table indexing ablation (orec.h OrecStriping): identical engine and
-// clock, but the shared table maps adjacent addresses to guaranteed-distinct
-// cache lines instead of hash-scattering them. A distinct tag keeps the striped
-// table fully isolated; swept against the hashed default in
-// bench/abl_readset_layout.
-struct OrecLStripedTag {};
-using OrecLStriped =
-    internal::OrecBasedFamily<OrecLStripedTag, OrecLayoutStriped, LocalClockPolicy>;
-
 // Clock-policy ablations beyond GV4 (clock.h): GV5 draws commit stamps with a plain
 // load (no RMW on the commit path — ClockProbe's rmw_draws stays zero) at the price
 // of extra false aborts; GV6 flips between GV4 and GV5 per draw from the
@@ -140,28 +133,6 @@ struct OrecGv5Tag {};
 struct OrecGv6Tag {};
 using OrecGv5 = internal::OrecBasedFamily<OrecGv5Tag, OrecLayout, GlobalClockGv5>;
 using OrecGv6 = internal::OrecBasedFamily<OrecGv6Tag, OrecLayout, GlobalClockGv6>;
-
-// Validation-strategy ablation over the local-clock layout — the family whose
-// full-transaction reads pay the O(read-set) per-read revalidation the skip
-// exists to cut. OrecL itself (kPassive: no writer summary at all) is the
-// always-incremental baseline; the counter-skip family measures the skip in
-// isolation. Swept in bench/abl_adaptive_val.
-struct OrecLCounterTag {};
-using OrecLCounterSkip =
-    internal::OrecBasedFamily<OrecLCounterTag, OrecLayout, LocalClockPolicy,
-                              ValMode::kCounterSkip>;
-
-// Partitioned NOrec (valstrategy.h kStripe): the precise commit counter sharded
-// into per-address-region stripe counters — writers bump only the stripes their
-// write set touches, readers skip walks when every READ-occupied stripe is
-// stable, and same-stripe traffic forces the walk. On the
-// hash-scattered shared orec table the stripe of an orec is effectively random
-// (wide read sets occupy every stripe), so OrecLPart mainly measures the
-// partition's overhead there; the val-layout ValPart below is where region
-// locality pays (see the counter-stripe note in valstrategy.h).
-struct OrecLPartTag {};
-using OrecLPart = internal::OrecBasedFamily<OrecLPartTag, OrecLayout,
-                                            LocalClockPolicy, ValMode::kPartitioned>;
 
 // 1-bit meta-data with value-based validation (Figure 3(c)); version-free by default
 // (relies on the paper's three special cases, §2.4), with counter-backed general
@@ -197,21 +168,18 @@ using ValPart =
 // the kMvcc marker; the commit counter doubles as the version clock.
 using ValSnap = internal::ValFamilyT<SnapshotValidation, ValMode::kSnapshot>;
 
-// Service-facing aliases (src/svc): the four engine configurations the KV
+// Service-facing aliases (src/svc): the three engine configurations the KV
 // service scenario instantiates over, named by the role they play there rather
 // than by layout internals. SvcOrec is the orec baseline on the GV4 global
 // clock: a batch walks its read log only when a read sees an orec newer than
 // the attempt's snapshot (timebase extension, §2.1), so validation is linear
 // in the batch's reads. OrecL's per-read revalidation costs O(reads²) per
 // batch (§4.1); it stays measured on KvStore<OrecL> by the wide-batch SIMD
-// probes and in bench/abl_adaptive_val. SvcOrecPart is the local-clock orec
-// engine with the partitioned counter on the hash-scattered table (overhead
-// row — stripes are placement-blind there); SvcVal is the partitioned-counter
-// val engine where KvStore's stripe-homed shard arenas make region-local
-// batches genuinely stripe-resident; and SvcSnapshot routes read-only batches
-// through pinned MVCC snapshots (never validates, never aborts).
+// probes and in bench/abl_adaptive_val. SvcVal is the partitioned-counter val
+// engine where KvStore's stripe-homed shard arenas make region-local batches
+// genuinely stripe-resident; and SvcSnapshot routes read-only batches through
+// pinned MVCC snapshots (never validates, never aborts).
 using SvcOrec = OrecG;
-using SvcOrecPart = OrecLPart;
 using SvcVal = ValPart;
 using SvcSnapshot = ValSnap;
 

@@ -1,6 +1,6 @@
 // Service-level battery for the sharded KV store (src/svc/kv_store.h):
 // batched-transaction correctness and conservation under concurrency across
-// all four service engine families, plus the deterministic probe rows — one
+// all three service engine families, plus the deterministic probe rows — one
 // descriptor per batch (amortization), the locate-then-read batch shape
 // (value reads last in the read log), stripe_skips on region-local batches
 // (partitioned counter), simd_batches on wide batch validation (read-log batch
@@ -33,7 +33,7 @@ template <typename F>
 struct KvStoreFamilyTest : public ::testing::Test {};
 
 using ServiceFamilies =
-    ::testing::Types<SvcOrec, SvcOrecPart, SvcVal, SvcSnapshot>;
+    ::testing::Types<SvcOrec, SvcVal, SvcSnapshot>;
 TYPED_TEST_SUITE(KvStoreFamilyTest, ServiceFamilies);
 
 TYPED_TEST(KvStoreFamilyTest, BatchPutGetScanRoundTrip) {
@@ -410,7 +410,7 @@ TEST(KvStoreStripes, RegionLocalBatchSkipsViaStripeCounters) {
       << "cross-stripe churn must not force a read-set walk";
 }
 
-// Wide batch validation on the local-clock orec engine: OrecL's passive
+// Wide batch validation on the local-clock orec engine: OrecL's plain
 // protocol revalidates the whole read log as it grows, so a wide BatchGet
 // alone drives the gathered batch kernel (simd_batches) — or the scalar body
 // when the ISA lacks it. SvcOrec runs on the global clock and never walks in

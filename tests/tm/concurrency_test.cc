@@ -22,17 +22,17 @@ constexpr int kThreads = 8;
 template <typename Family>
 class TmConcurrency : public ::testing::Test {};
 
-// The list includes the PR-2 additions: the GV5/GV6 clock families (shared
-// non-unique timestamps + reader-side clock catch-up under real races) and the
-// counter-skip/partitioned validation families over both layouts (writer-summary
-// bumps racing counter-skip/stripe-skip readers). All of it runs under TSan in CI.
+// The list includes the GV5/GV6 clock families (shared non-unique timestamps +
+// reader-side clock catch-up under real races) and the counter-skip/partitioned
+// val families (writer-summary bumps racing counter-skip/stripe-skip readers).
+// All of it runs under TSan in CI.
 // CMakeLists.txt reads this list and registers one CTest entry per family
 // (filter TmConcurrency/<index>.*), so every test in this file must be a
 // TmConcurrency typed test.
 using AllFamilies =
     ::testing::Types<OrecG, OrecL, TvarG, TvarL, Val, ValGlobalCounter,
                      ValPerThreadCounter, Pver, ValEager, OrecGv5, OrecGv6,
-                     OrecLPart, OrecLCounterSkip, ValPart, ValCounterSkip>;
+                     ValPart, ValCounterSkip>;
 TYPED_TEST_SUITE(TmConcurrency, AllFamilies);
 
 // No lost updates: every committed full transaction's increment must survive.

@@ -208,7 +208,7 @@ void ThrowAfterFailedReadCase() {
   // below would spin on it forever: stop here instead.
   ASSERT_EQ(SerialGate<Tag>::SerialOwner(), nullptr) << "serial token leaked";
   ExpectGateClean<Family>();
-  if constexpr (Family::kValMode == ValMode::kSnapshot) {
+  if constexpr (std::is_same_v<Family, ValSnap>) {
     Family::SingleWrite(&a, EncodeInt(6));  // moves the clock past the old pin
     const Word now = Family::Validation::Sample();
     EXPECT_EQ(mvcc::MvccEpoch().SnapshotDoneStamp(now), now) << "snapshot pin leaked";
@@ -306,12 +306,13 @@ TEST_F(ExceptionSafetyTest, FullOrecThrowEverySite) {
 
 // The publication sites are pause-style (locks held, counters mid-bump): a
 // throw there is the harshest unwind of all and must still restore every lock
-// through the commit guard. The counter-skip/partitioned families are the ones
-// whose commit actually runs the publication sequence.
-TEST_F(ExceptionSafetyTest, FullOrecThrowInsidePublication) {
-  FullThrowAtSite<OrecLCounterSkip>(Site::kPreBump);
-  FullThrowAtSite<OrecLCounterSkip>(Site::kPostBump);
-  FullThrowAtSite<OrecLPart>(Site::kPreStripeBump);
+// through the commit guard. Only the val families on the striped counter run
+// the publication sequence; the counter-skip one runs it here, the partitioned
+// one in FullValThrowEverySite.
+TEST_F(ExceptionSafetyTest, FullValCounterSkipThrowInsidePublication) {
+  FullThrowAtSite<ValCounterSkip>(Site::kPreBump);
+  FullThrowAtSite<ValCounterSkip>(Site::kPostBump);
+  FullThrowAtSite<ValCounterSkip>(Site::kPreStripeBump);
 }
 
 TEST_F(ExceptionSafetyTest, FullValThrowEverySite) {

@@ -2,7 +2,7 @@
 // (src/common/sched.h over the PR 6/7 fail-point plants): bounded exhaustive
 // enumeration of the two-thread crossing-committers commit window for all
 // four engines (OrecL/Val x full/short, plus the summary-running ValPart and
-// OrecLCounterSkip families) asserting the balance invariant on
+// ValCounterSkip families) asserting the balance invariant on
 // EVERY explored schedule, exhaustive exploration of the serial-gate drain,
 // byte-identical replay with identical probe counters, and a planted-bug
 // canary — a validate-before-bump mini-TM (the PR-2 skew, resurrected in
@@ -204,8 +204,8 @@ TEST(SchedExploreEngines, PartShortCrossingCommitWindowTwoStripes) {
   ExplorePartitionedCrossingWindow(/*short_shape=*/true, /*same_stripe=*/false);
 }
 
-TEST(SchedExploreEngines, OrecCounterSkipFullCrossingCommitWindow) {
-  ExploreCrossingWindow<OrecLCounterSkip>(/*short_shape=*/false);
+TEST(SchedExploreEngines, CounterSkipFullCrossingCommitWindow) {
+  ExploreCrossingWindow<ValCounterSkip>(/*short_shape=*/false);
 }
 
 // ---- The serial-gate drain ---------------------------------------------------------

@@ -50,31 +50,6 @@ TEST(OrecTable, SpreadsSequentialAddresses) {
   EXPECT_GT(distinct.size(), 700u);
 }
 
-// The striped table's whole point (orec.h): an orec occupies the SAME
-// partitioned-counter stripe as every data address that maps to it, so
-// stripe-keyed validation agrees whether it keys off data words or orecs.
-TEST(OrecTable, StripedOrecSharesCounterStripeWithItsData) {
-  OrecTableT<OrecStriping::kStriped> table;  // clamps to >= kMinStripedLog2
-  std::vector<std::uint64_t> arena(1u << 14);
-  for (const auto& w : arena) {
-    EXPECT_EQ(CounterStripeOf(&table.ForAddr(&w)), CounterStripeOf(&w))
-        << "orec stripe diverges from data stripe for " << &w;
-  }
-}
-
-// Same-region addresses must still scatter across lines WITHIN their segment
-// (the in-segment Fibonacci hash), or the striped table would serialize every
-// structurally local read set onto a handful of orecs.
-TEST(OrecTable, StripedSpreadsWithinSegment) {
-  OrecTableT<OrecStriping::kStriped> table;
-  std::vector<std::uint64_t> arena(512);  // one 4 KiB region's worth of words
-  std::set<const void*> distinct;
-  for (const auto& w : arena) {
-    distinct.insert(&table.ForAddr(&w));
-  }
-  EXPECT_GT(distinct.size(), 300u);
-}
-
 // --- Abort semantics ----------------------------------------------------------------------
 
 template <typename Family>

@@ -1,9 +1,9 @@
-// Validation skip protocol (valstrategy.h): the strategy each family is built
-// with, the abort EWMA, the writer summary's counter stripes, and the
-// probe-verified hot-path claims — counter skips firing on unchanged-counter RO
-// reads (short and full transactions, orec and val layouts), stripe skips
-// absorbing write traffic in stripes the read set does not occupy, and the
-// commit-time skip keeping crossing committers apart.
+// Validation skip protocol of the val layout (valstrategy.h): the strategy each
+// val family is built with, the abort EWMA, the striped counter policy's
+// counter stripes, and the probe-verified hot-path claims — counter skips
+// firing on unchanged-counter RO reads (short and full transactions), stripe
+// skips absorbing write traffic in stripes the read set does not occupy, and
+// the commit-time skip keeping crossing committers apart.
 #include "src/tm/valstrategy.h"
 
 #include <gtest/gtest.h>
@@ -27,8 +27,6 @@ constexpr bool ResolvesTo(ValStrategy s) {
   return F::Full::StratState::kStrategy == s &&
          F::Short::StratState::kStrategy == s;
 }
-static_assert(ResolvesTo<OrecLCounterSkip>(ValStrategy::kCounterSkip));
-static_assert(ResolvesTo<OrecLPart>(ValStrategy::kStripe));
 static_assert(ResolvesTo<Val>(ValStrategy::kIncremental),
               "a non-precise policy's counter proves nothing: it walks");
 static_assert(ResolvesTo<ValGlobalCounter>(ValStrategy::kCounterSkip),
@@ -40,12 +38,12 @@ static_assert(ResolvesTo<ValPart>(ValStrategy::kStripe));
 static_assert(ResolvesTo<ValSnap>(ValStrategy::kStripe));
 
 // Per-operation cost tracks the transaction object's size (one unused 16-byte
-// field in FullTm::Tx cost orec full-rw2 ~9%), so a fixed strategy must cost
-// the engines no bytes. Sizes when the strategy was still chosen per attempt
-// (LP64): OrecG Tx 72 / ShortTx 272; ValPart and ValSnap Tx 88 / ShortTx 264.
+// field in FullTm::Tx cost orec full-rw2 ~9%), so no field may creep back into
+// the engines unnoticed. LP64 sizes: OrecG Tx 24 / ShortTx 224 (the orec
+// engines carry no strategy state); ValPart and ValSnap Tx 88 / ShortTx 264.
 constexpr bool kLp64 = sizeof(void*) == 8;
-static_assert(!kLp64 || sizeof(OrecG::FullTx) <= 72);
-static_assert(!kLp64 || sizeof(OrecG::ShortTx) <= 272);
+static_assert(!kLp64 || sizeof(OrecG::FullTx) <= 24);
+static_assert(!kLp64 || sizeof(OrecG::ShortTx) <= 224);
 static_assert(!kLp64 || sizeof(ValPart::FullTx) <= 88);
 static_assert(!kLp64 || sizeof(ValPart::ShortTx) <= 264);
 static_assert(!kLp64 || sizeof(ValSnap::FullTx) <= 88);
@@ -84,38 +82,17 @@ TEST(AbortEwma, SingleAbortMovesOneSixteenth) {
 
 // Acceptance: the short-tx counter skip fires on unchanged-counter RO reads — the
 // second RO read of a short transaction must skip the prefix walk when no writer
-// committed since the sample (orec layout, fixed counter-skip family).
-TEST(CounterSkip, ShortTxOrecRoReadsSkipOnStableCounter) {
-  using F = OrecLCounterSkip;
-  using Probe = ValProbe<OrecLCounterTag>;
-  static F::Slot a, b;
-  F::SingleWrite(&a, EncodeInt(1));
-  F::SingleWrite(&b, EncodeInt(2));
-
-  Probe::Reset();
-  F::ShortTx tx;
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&a)), 1u);
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&b)), 2u);
-  EXPECT_TRUE(tx.Valid());
-  EXPECT_TRUE(tx.ValidateRo());
-  tx.Abort();
-
-  EXPECT_GE(Probe::Get().counter_skips, 2u)
-      << "2nd read and final ValidateRo must both skip on the unchanged counter";
-  EXPECT_EQ(Probe::Get().validation_walks, 0u)
-      << "no RO-prefix walk may happen while the counter is stable";
-}
-
-// Same property through the val layout's persistent ShortTx sample.
-TEST(CounterSkip, ShortTxValRoReadsSkipOnStableCounter) {
-  using F = ValGlobalCounter;
+// committed since the sample. Run over the striped counter (ValCounterSkip) and
+// the classic unstriped one (ValGlobalCounter).
+template <typename F>
+void ExpectShortRoReadsSkipOnStableCounter() {
   using Probe = ValProbe<ValDomainTag>;
-  static F::Slot a, b;
+  static typename F::Slot a, b;
   F::SingleWrite(&a, EncodeInt(5));
   F::SingleWrite(&b, EncodeInt(6));
 
   Probe::Reset();
-  F::ShortTx tx;
+  typename F::ShortTx tx;
   EXPECT_EQ(DecodeInt(tx.ReadRo(&a)), 5u);
   EXPECT_EQ(DecodeInt(tx.ReadRo(&b)), 6u);
   EXPECT_TRUE(tx.Valid());
@@ -126,11 +103,16 @@ TEST(CounterSkip, ShortTxValRoReadsSkipOnStableCounter) {
       << "ValShortTx revalidated the whole RO set despite a stable counter";
 }
 
+TEST(CounterSkip, ShortTxRoReadsSkipOnStableCounter) {
+  ExpectShortRoReadsSkipOnStableCounter<ValCounterSkip>();
+  ExpectShortRoReadsSkipOnStableCounter<ValGlobalCounter>();
+}
+
 // When the counter moves between reads, the skip must NOT fire: the engine walks
 // (and the values are still intact, so the transaction stays valid).
 TEST(CounterSkip, MovedCounterForcesTheWalk) {
-  using F = OrecLCounterSkip;
-  using Probe = ValProbe<OrecLCounterTag>;
+  using F = ValCounterSkip;
+  using Probe = ValProbe<ValDomainTag>;
   static F::Slot a, b, unrelated;
   F::SingleWrite(&a, EncodeInt(1));
   F::SingleWrite(&b, EncodeInt(2));
@@ -150,7 +132,7 @@ TEST(CounterSkip, MovedCounterForcesTheWalk) {
 // Overlap case: a writer that DOES hit the read set must be caught — the skip
 // may not fire and the transaction must invalidate.
 TEST(CounterSkip, OverlappingWriterIsDetected) {
-  using F = OrecLCounterSkip;
+  using F = ValCounterSkip;
   static F::Slot a, b;
   F::SingleWrite(&a, EncodeInt(1));
   F::SingleWrite(&b, EncodeInt(2));
@@ -163,12 +145,12 @@ TEST(CounterSkip, OverlappingWriterIsDetected) {
   tx.Abort();
 }
 
-// Full-transaction (local-clock) counter skip: with no concurrent writers, a
-// read-heavy full transaction over the counter-skip family must do zero walks
-// after the first read — the O(read-set) per-read revalidation collapses.
-TEST(CounterSkip, FullTxLocalClockReadsSkipOnStableCounter) {
-  using F = OrecLCounterSkip;
-  using Probe = ValProbe<OrecLCounterTag>;
+// Full-transaction counter skip: with no concurrent writers, a read-heavy full
+// transaction over the counter-skip family must do zero walks after the first
+// read — the O(read-set) per-read revalidation collapses.
+TEST(CounterSkip, FullTxReadsSkipOnStableCounter) {
+  using F = ValCounterSkip;
+  using Probe = ValProbe<ValDomainTag>;
   static F::Slot slots[16];
   for (int i = 0; i < 16; ++i) {
     F::SingleWrite(&slots[i], EncodeInt(static_cast<std::uint64_t>(i)));
@@ -189,34 +171,11 @@ TEST(CounterSkip, FullTxLocalClockReadsSkipOnStableCounter) {
       << "quiescent read-heavy full tx must never walk under counter-skip";
 }
 
-// The val layout's full transactions skip the same way through their
-// ValidationPolicy counter.
-TEST(CounterSkip, FullTxValReadsSkipOnStableCounter) {
-  using F = ValCounterSkip;
-  using Probe = ValProbe<ValDomainTag>;
-  static F::Slot a, b;
-  F::SingleWrite(&a, EncodeInt(3));
-  F::SingleWrite(&b, EncodeInt(4));
-
-  Probe::Reset();
-  F::FullTx tx;
-  Word va = 0, vb = 0;
-  do {
-    tx.Start();
-    va = tx.Read(&a);
-    vb = tx.Read(&b);
-  } while (!tx.Commit());
-  EXPECT_EQ(DecodeInt(va), 3u);
-  EXPECT_EQ(DecodeInt(vb), 4u);
-  EXPECT_GE(Probe::Get().counter_skips, 1u);
-  EXPECT_EQ(Probe::Get().validation_walks, 0u);
-}
-
 // Multi-threaded sanity for the stripe skip under real concurrency: disjoint-slot
 // writers churn while RO pairs are read; pairs must stay consistent. (The
 // heavyweight cross-family battery lives in concurrency_test.cc.)
 TEST(PartitionedSkip, ConcurrentDisjointChurnKeepsPairsConsistent) {
-  using F = OrecLPart;
+  using F = ValPart;
   static F::Slot pair_a, pair_b;
   static F::Slot churn[8];
   F::SingleWrite(&pair_a, EncodeInt(0));
@@ -310,10 +269,6 @@ void RunLinkedSetBalanceCheck(std::uint64_t seed) {
          "skipped validation past a crossing committer (lost unlink/insert)";
 }
 
-TEST(CommitSkipProtocol, LinkedSetBalanceOrecLCounterSkip) {
-  RunLinkedSetBalanceCheck<OrecLCounterSkip>(0xc075);
-}
-
 TEST(CommitSkipProtocol, LinkedSetBalanceValCounterSkip) {
   RunLinkedSetBalanceCheck<ValCounterSkip>(0xada9);
 }
@@ -322,26 +277,21 @@ TEST(CommitSkipProtocol, LinkedSetBalanceValCounterSkip) {
 // the per-stripe commit skip (expected = anchor + own-bump contribution per
 // READ-occupied stripe) must keep two crossing committers from write-skewing
 // past each other exactly as the global own-index test did — a lost unlink
-// breaks the insert/remove balance below. Both partitioned families run in the
-// TSan smoke subset via this test binary.
-TEST(CommitSkipProtocol, LinkedSetBalanceOrecLPart) {
-  RunLinkedSetBalanceCheck<OrecLPart>(0x9a47);
-}
-
+// breaks the insert/remove balance below. It runs in the TSan smoke subset via
+// this test binary.
 TEST(CommitSkipProtocol, LinkedSetBalanceValPart) {
   RunLinkedSetBalanceCheck<ValPart>(0x57a1);
 }
 
 // --- Partitioned NOrec: per-stripe counters -------------------------------------
 
-// The sharded bump: Bump moves exactly the masked stripe counters plus the
-// global counter (the own_idx), nothing else.
+// The sharded bump: a writer commit moves exactly the masked stripe counters
+// plus the global counter (the own_idx), nothing else.
 TEST(PartitionedSkip, StripeCountersShardTheBump) {
-  struct StripeUnitTag {};
-  using S = WriterSummary<StripeUnitTag>;
+  using S = StripedCounterValidation;
   const StripeSample before = S::StripeSampleNow();
   const Word global_before = S::Sample();
-  const Word own_idx = S::Bump(0b0101u);
+  const Word own_idx = S::OnWriterCommit(nullptr, 0b0101u);
   EXPECT_EQ(own_idx, global_before + 1);
   EXPECT_EQ(S::StripeNow(0), before.v[0] + 1);
   EXPECT_EQ(S::StripeNow(1), before.v[1]);
@@ -391,39 +341,6 @@ TEST(PartitionedSkip, DisjointStripeChurnSkipsWithoutWalks) {
   EXPECT_EQ(Probe::Get().validation_walks, 0u);
   EXPECT_EQ(Probe::Get().cross_stripe_walks, 0u);
   EXPECT_GE(Probe::Get().stripe_bumps, 1u) << "the churn writer bumped its stripe";
-}
-
-// Same property through the hash-scattered orec table (stripes there are
-// effectively random per orec, but with a two-entry read set a disjoint stripe
-// still exists and the skip must fire).
-TEST(PartitionedSkip, OrecLayoutDisjointStripeChurnSkips) {
-  using F = OrecLPart;
-  using Probe = ValProbe<OrecLPartTag>;
-  static F::Slot a, b;
-  static F::Slot pool[256];
-  F::SingleWrite(&a, EncodeInt(1));
-  F::SingleWrite(&b, EncodeInt(2));
-  const unsigned occupied = (1u << CounterStripeOf(&F::Layout::OrecOf(a))) |
-                            (1u << CounterStripeOf(&F::Layout::OrecOf(b)));
-  F::Slot* churn = nullptr;
-  for (auto& s : pool) {
-    if (((occupied >> CounterStripeOf(&F::Layout::OrecOf(s))) & 1u) == 0) {
-      churn = &s;
-      break;
-    }
-  }
-  ASSERT_NE(churn, nullptr) << "256 hash-scattered orecs always hit a free stripe";
-
-  Probe::Reset();
-  F::ShortTx tx;
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&a)), 1u);
-  F::SingleWrite(churn, EncodeInt(9));
-  EXPECT_EQ(DecodeInt(tx.ReadRo(&b)), 2u);
-  EXPECT_TRUE(tx.Valid());
-  tx.Abort();
-
-  EXPECT_GE(Probe::Get().stripe_skips, 1u);
-  EXPECT_EQ(Probe::Get().validation_walks, 0u);
 }
 
 // Same-stripe traffic to a slot outside the read set: the stripe vector cannot

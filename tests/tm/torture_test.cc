@@ -105,8 +105,8 @@ class TortureTest : public ::testing::Test {
   }
 };
 
-TEST_F(TortureTest, BaselineOrecCounterSkip) {
-  EXPECT_EQ(RunTortureBalance<OrecLCounterSkip>(0x7041).balance_delta, 0);
+TEST_F(TortureTest, BaselineOrecL) {
+  EXPECT_EQ(RunTortureBalance<OrecL>(0x7041).balance_delta, 0);
 }
 
 TEST_F(TortureTest, BaselineValCounterSkip) {
@@ -128,7 +128,7 @@ TEST_F(TortureTest, ForcedAbortScheduleKeepsBalance) {
   failpoint::Arm(failpoint::Site::kPostReadPreSandwich, /*abort_pct=*/4);
   failpoint::Arm(failpoint::Site::kPreValidate, /*abort_pct=*/3);
   failpoint::Arm(failpoint::Site::kLockAcquire, /*abort_pct=*/4);
-  EXPECT_EQ(RunTortureBalance<OrecLCounterSkip>(0x7141).balance_delta, 0);
+  EXPECT_EQ(RunTortureBalance<OrecL>(0x7141).balance_delta, 0);
   EXPECT_EQ(RunTortureBalance<ValCounterSkip>(0x7142).balance_delta, 0);
   EXPECT_GT(failpoint::Hits(failpoint::Site::kLockAcquire), 0u)
       << "the schedule never actually fired — the torture was a no-op";
@@ -185,7 +185,7 @@ TEST_F(TortureTest, PublicationWindowScheduleKeepsBalance) {
   bool truncated = false;
   EXPECT_EQ(RunSchedTortureBalance<ValPart>(0x7243, kWorkers, 300, &truncated), 0);
   EXPECT_FALSE(truncated) << "the run hit the point cap (livelocked schedule?)";
-  EXPECT_EQ(RunSchedTortureBalance<OrecLPart>(0x7244, kWorkers, 300, &truncated), 0);
+  EXPECT_EQ(RunSchedTortureBalance<ValCounterSkip>(0x7244, kWorkers, 300, &truncated), 0);
   EXPECT_FALSE(truncated) << "the run hit the point cap (livelocked schedule?)";
 }
 
@@ -210,7 +210,7 @@ TEST_F(TortureTest, PublicationDelayScheduleKeepsBalance) {
   failpoint::Arm(failpoint::Site::kPostBump, /*abort_pct=*/0,
                  /*delay_pct=*/25, /*delay_spins=*/400);
   EXPECT_EQ(RunTortureBalance<ValPart>(0x7243).balance_delta, 0);
-  EXPECT_EQ(RunTortureBalance<OrecLPart>(0x7244).balance_delta, 0);
+  EXPECT_EQ(RunTortureBalance<ValCounterSkip>(0x7244).balance_delta, 0);
 }
 
 #endif  // SPECTM_SCHED
@@ -280,7 +280,8 @@ TortureResult RunExceptionStormBalance(std::uint64_t seed,
   return r;
 }
 
-// Throws at the encounter/validate/lock sites under both metadata families,
+// Throws at the encounter/validate/lock sites under both metadata families (the
+// plain local-clock orec engine and the counter-skip val engine),
 // with escalation enabled so some throws land inside serial attempts (the
 // token-release unwind is exercised under load, not just in the directed
 // exception_safety_test). The gate must read clean after the storm — a leaked
@@ -293,12 +294,12 @@ TEST_F(TortureTest, ExceptionStormScheduleKeepsBalance) {
   failpoint::ArmThrow(failpoint::Site::kPreValidate, /*throw_pct=*/2);
   failpoint::ArmThrow(failpoint::Site::kLockAcquire, /*throw_pct=*/3);
   std::uint64_t faults = 0;
-  const TortureResult orec = RunExceptionStormBalance<OrecLCounterSkip>(0xe141, &faults);
+  const TortureResult orec = RunExceptionStormBalance<OrecL>(0xe141, &faults);
   EXPECT_EQ(orec.balance_delta, 0)
       << "an unwound attempt published state or broke a peer";
   EXPECT_GT(faults, 0u) << "the storm never threw — the schedule was a no-op";
-  EXPECT_EQ(SerialGate<typename OrecLCounterSkip::DomainTag>::SerialOwner(), nullptr);
-  EXPECT_EQ(SerialGate<typename OrecLCounterSkip::DomainTag>::AnnouncedCommitters(), 0u);
+  EXPECT_EQ(SerialGate<typename OrecL::DomainTag>::SerialOwner(), nullptr);
+  EXPECT_EQ(SerialGate<typename OrecL::DomainTag>::AnnouncedCommitters(), 0u);
 
   failpoint::SetSeed(0xe5c5);
   failpoint::ArmThrow(failpoint::Site::kPostReadPreSandwich, /*throw_pct=*/2);
@@ -321,7 +322,7 @@ TEST_F(TortureTest, EscalationScheduleInteropsSeriallyAndOptimistically) {
   SetSerialEscalationStreak(3);
   failpoint::SetSeed(0x5e71);
   failpoint::Arm(failpoint::Site::kLockAcquire, /*abort_pct=*/30);
-  const TortureResult r = RunTortureBalance<OrecLCounterSkip>(0x7345);
+  const TortureResult r = RunTortureBalance<ValCounterSkip>(0x7345);
   EXPECT_EQ(r.balance_delta, 0)
       << "serial/optimistic interleaving corrupted the set";
   EXPECT_GT(r.escalations, 0u) << "the schedule never escalated";
